@@ -70,14 +70,21 @@ bench-parallel:
 	dune exec bench/main.exe -- bench --json --sizes 1024 --jobs 4
 
 # Chaos soak smoke: 32 seeded fault schedules per scenario family at
-# n=64 (224 total).  Any oracle failure shrinks to a minimal
-# chaos-repro-*.json next to the build and exits 6; CI uploads those
-# repros as artifacts.  Byte-deterministic for a fixed (seed, -k)
-# whatever --jobs is.  The soak streams a progress heartbeat
-# (DESIGN.md §13) so a hung CI run shows where it stopped.
+# n=64 (224 total), for each of CHAOS_SEEDS.  Seeds 3 and 44 once
+# failed (an election crash after a lost capture return, a flood root
+# re-forwarding its own broadcast), so they stay soaked next to 7.
+# Any oracle failure shrinks to a minimal chaos-repro-*.json next to
+# the build and exits 6; CI uploads those repros as artifacts.
+# Byte-deterministic for a fixed (seed, -k) whatever --jobs is.  Each
+# soak streams a progress heartbeat (DESIGN.md §13) so a hung CI run
+# shows where it stopped.
+CHAOS_SEEDS = 7 3 44
+
 chaos-smoke:
-	dune exec bin/futurenet_cli.exe -- chaos -s all -n 64 -k 32 --seed 7 --jobs 2 \
-	  --heartbeat chaos-heartbeat.jsonl --heartbeat-every 8
+	for s in $(CHAOS_SEEDS); do \
+	  dune exec bin/futurenet_cli.exe -- chaos -s all -n 64 -k 32 --seed $$s --jobs 2 \
+	    --heartbeat chaos-heartbeat-seed$$s.jsonl --heartbeat-every 8 || exit $$?; \
+	done
 
 # Liveness soak smoke (DESIGN.md §16): healing schedules — every crash
 # recovers, every cut link comes back before the horizon — with the
@@ -85,10 +92,12 @@ chaos-smoke:
 # demand each protocol terminate in the CORRECT state (all nodes
 # reached, exactly one universally-believed leader, every origin
 # finished) within the retry/epoch budget.  Any failure shrinks to a
-# minimal chaos-repro-*.json and exits 10.
+# minimal chaos-repro-*.json and exits 10.  Same CHAOS_SEEDS as above.
 chaos-liveness:
-	dune exec bin/futurenet_cli.exe -- chaos --liveness -s all -n 64 -k 32 --seed 7 --jobs 2 \
-	  --heartbeat chaos-liveness-heartbeat.jsonl --heartbeat-every 8
+	for s in $(CHAOS_SEEDS); do \
+	  dune exec bin/futurenet_cli.exe -- chaos --liveness -s all -n 64 -k 32 --seed $$s --jobs 2 \
+	    --heartbeat chaos-liveness-heartbeat-seed$$s.jsonl --heartbeat-every 8 || exit $$?; \
+	done
 
 # Full soak: more schedules, larger networks, all families.
 chaos:

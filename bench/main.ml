@@ -105,7 +105,7 @@ let ring_graph ~n = Compile.Topology.graph (Compile.Cache.ring ~n)
 
 let bpaths_precomputed art =
   ( Compile.Topology.labelling art,
-    Compile.Topology.routes art ~chaos:None )
+    Some (Compile.Topology.routes art) )
 
 (* -- the fixed scenarios, in size-appropriate form -------------------- *)
 
@@ -521,18 +521,6 @@ let git_rev () =
   in
   Option.value ~default:"unknown" (from_dir (Sys.getcwd ()) 0)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* One extra, untimed run of each scaling workload with a metrics
    registry attached: a perf trajectory is only interpretable if the
    work done per run is stable, so BENCH_<n>.json also records the
@@ -699,6 +687,7 @@ let print_parallel_rows ~jobs ~replicas rows =
 (* -- causal critical-path profiles (bench --profile) ------------------ *)
 
 module CP = Analysis.Critical_path
+module Json = Sim.Json
 
 (* One traced, untimed run of each scaling workload through the
    profiler, so BENCH_<n>.json tracks the *shape* of every execution
@@ -1148,7 +1137,7 @@ let bw_open ~n ~rev =
   bw_line w (Printf.sprintf "  \"n\": %d," n);
   bw_line w
     (Printf.sprintf "  \"schema_version\": %d," Sim.Trace_export.schema_version);
-  bw_line w (Printf.sprintf "  \"git_rev\": \"%s\"," (json_escape rev));
+  bw_line w (Printf.sprintf "  \"git_rev\": %s," (Json.quote rev));
   w
 
 (* Every section ends with a comma: the closing [bw_close] field
@@ -1170,11 +1159,11 @@ let bw_results w rows =
     (fun (name, est) sep ->
       match est with
       | Some est ->
-          Printf.sprintf "    { \"name\": \"%s\", \"ns_per_run\": %.1f }%s"
-            (json_escape name) est sep
+          Printf.sprintf "    { \"name\": %s, \"ns_per_run\": %.1f }%s"
+            (Json.quote name) est sep
       | None ->
-          Printf.sprintf "    { \"name\": \"%s\", \"ns_per_run\": null }%s"
-            (json_escape name) sep)
+          Printf.sprintf "    { \"name\": %s, \"ns_per_run\": null }%s"
+            (Json.quote name) sep)
 
 let bw_workloads w rows =
   bw_section w ~header:"  \"workloads\": [" ~footer:"  ]," rows
@@ -1182,10 +1171,10 @@ let bw_workloads w rows =
                  restarts))
          sep ->
       Printf.sprintf
-        "    { \"name\": \"%s\", \"syscalls\": %d, \"hops\": %d, \"drops\": \
+        "    { \"name\": %s, \"syscalls\": %d, \"hops\": %d, \"drops\": \
          %d, \"dropped_in_flight\": %d, \"retransmits\": %d, \"restarts\": \
          %d }%s"
-        (json_escape name) syscalls hops drops dropped_in_flight retransmits
+        (Json.quote name) syscalls hops drops dropped_in_flight retransmits
         restarts sep)
 
 let bw_profile w profiles =
@@ -1194,59 +1183,55 @@ let bw_profile w profiles =
       match cp with
       | Some (cp : CP.t) ->
           Printf.sprintf
-            "    { \"name\": \"%s\", \"span\": %.12g, \"steps\": %d, \
+            "    { \"name\": %s, \"span\": %s, \"steps\": %d, \
              \"deliveries\": %d, \"activations\": %d, \"hops\": %d, \
-             \"sends\": %d, \"p_time\": %.12g, \"c_time\": %.12g, \
-             \"queue_wait\": %.12g, \"fifo_wait\": %.12g, \"truncated\": \
+             \"sends\": %d, \"p_time\": %s, \"c_time\": %s, \
+             \"queue_wait\": %s, \"fifo_wait\": %s, \"truncated\": \
              %d }%s"
-            (json_escape name) cp.CP.span (List.length cp.CP.steps)
-            cp.CP.deliveries cp.CP.activations cp.CP.hops cp.CP.sends
-            cp.CP.p_time cp.CP.c_time cp.CP.queue_wait cp.CP.fifo_wait
-            cp.CP.truncated sep
+            (Json.quote name) (Json.number cp.CP.span)
+            (List.length cp.CP.steps) cp.CP.deliveries cp.CP.activations
+            cp.CP.hops cp.CP.sends (Json.number cp.CP.p_time)
+            (Json.number cp.CP.c_time) (Json.number cp.CP.queue_wait)
+            (Json.number cp.CP.fifo_wait) cp.CP.truncated sep
       | None ->
-          Printf.sprintf "    { \"name\": \"%s\", \"span\": null }%s"
-            (json_escape name) sep)
+          Printf.sprintf "    { \"name\": %s, \"span\": null }%s"
+            (Json.quote name) sep)
 
-(* keyed "scenario", so the --check name/ns_per_run parser never sees
-   these rows; the latency gate compares them by field *)
+(* keyed "scenario"; the --check latency gate compares them by field *)
 let bw_latency w latency =
   bw_section w ~header:"  \"latency\": [" ~footer:"  ]," latency
     (fun (name, lat) sep ->
       let fields =
         String.concat ", "
           (List.map
-             (fun (k, v) ->
-               Printf.sprintf "\"%s\": %.12g" k
-                 (if Float.is_nan v then 0.0 else v))
+             (fun (k, v) -> Printf.sprintf "\"%s\": %s" k (Json.number v))
              (latency_entry_fields lat))
       in
-      Printf.sprintf "    { \"scenario\": \"%s\", %s }%s" (json_escape name)
+      Printf.sprintf "    { \"scenario\": %s, %s }%s" (Json.quote name)
         fields sep)
 
 let bw_parallel w (jobs, replicas, rows) =
-  (* entries are keyed "scenario", not "name", so the --check parser
-     (which pairs "name" with "ns_per_run") never sees them *)
   bw_line w "  \"parallel\": {";
   bw_line w (Printf.sprintf "    \"jobs\": %d," jobs);
   bw_line w (Printf.sprintf "    \"replicas\": %d," replicas);
   bw_section w ~header:"    \"results\": [" ~footer:"    ]" rows
     (fun r sep ->
       Printf.sprintf
-        "      { \"scenario\": \"%s\", \"wall_s_jobs1\": %.6f, \
+        "      { \"scenario\": %s, \"wall_s_jobs1\": %.6f, \
          \"wall_s_jobsN\": %.6f, \"speedup\": %.3f, \"deterministic\": %b }%s"
-        (json_escape r.pr_name) r.pr_wall_1 r.pr_wall_n r.pr_speedup
+        (Json.quote r.pr_name) r.pr_wall_1 r.pr_wall_n r.pr_speedup
         r.pr_deterministic sep);
   bw_line w "  },"
 
-(* keyed "scenario", invisible to the --check name/ns_per_run parser *)
+(* keyed "scenario"; --check reads only the top-level "results" timings *)
 let bw_obs w obs =
   bw_section w ~header:"  \"obs_overhead\": [" ~footer:"  ]," obs
     (fun r sep ->
       Printf.sprintf
-        "    { \"scenario\": \"%s\", \"off_s\": %.6f, \"disabled_s\": %.6f, \
+        "    { \"scenario\": %s, \"off_s\": %.6f, \"disabled_s\": %.6f, \
          \"disabled_ratio\": %.4f, \"stream_s\": %.6f, \"stream_ratio\": \
          %.4f, \"stream_events\": %d, \"stream_bytes\": %d }%s"
-        (json_escape r.ob_name) r.ob_off_s r.ob_disabled_s
+        (Json.quote r.ob_name) r.ob_off_s r.ob_disabled_s
         (obs_ratio r.ob_disabled_s r.ob_off_s)
         r.ob_stream_s
         (obs_ratio r.ob_stream_s r.ob_off_s)
@@ -1260,278 +1245,116 @@ let bw_close w ~peak_heap_bytes =
 
 (* -- bench regression gate (bench --check) ---------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  contents
+(* A BENCH file, parsed; [Error] names the file. *)
+let read_bench path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | contents ->
+      Result.map_error
+        (fun msg -> Printf.sprintf "%s: %s" path msg)
+        (Json.parse contents)
 
-let find_sub hay pat from =
-  let n = String.length hay and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub hay i m = pat then Some i
-    else go (i + 1)
-  in
-  go from
+(* The objects of the top-level array [section], each paired with its
+   string [key] field ("name" or "scenario"); an entry without one, or
+   a missing section, contributes nothing. *)
+let keyed_entries doc ~section ~key =
+  match Result.bind (Json.member section doc) Json.to_list with
+  | Error _ -> []
+  | Ok items ->
+      List.filter_map
+        (fun obj ->
+          Result.to_option
+            (Result.map
+               (fun k -> (k, obj))
+               (Result.bind (Json.member key obj) Json.to_string)))
+        items
 
-(* Minimal extraction of what [write_bench_json] emits — enough to diff
-   two bench files without a JSON dependency.  Pairs each "name" key
-   with the "ns_per_run" that follows it before the next "name";
-   entries without one (the workloads/profile sections) parse to no
-   row. *)
-let number_after json key from until =
-  match find_sub json key from with
-  | Some i when i < until -> (
-      match String.index_from_opt json (i + String.length key) ':' with
-      | None -> None
-      | Some colon ->
-          let rec skip i =
-            if i < until && json.[i] = ' ' then skip (i + 1) else i
-          in
-          let start = skip (colon + 1) in
-          let rec stop i =
-            if i < until && not (List.mem json.[i] [ ','; '}'; '\n'; ' ' ])
-            then stop (i + 1)
-            else i
-          in
-          float_of_string_opt (String.sub json start (stop start - start)))
-  | _ -> None
+let number_field obj key =
+  Result.to_option (Result.bind (Json.member key obj) Json.to_float)
 
-let bench_rows json =
-  let value_after key from until = number_after json key from until in
-  let rec collect acc i =
-    match find_sub json "\"name\"" i with
-    | None -> List.rev acc
-    | Some ni -> (
-        match
-          let q1 = String.index_from_opt json (ni + 6) '"' in
-          Option.bind q1 (fun q1 ->
-              Option.map
-                (fun q2 -> (q1, q2))
-                (String.index_from_opt json (q1 + 1) '"'))
-        with
-        | None -> List.rev acc
-        | Some (q1, q2) ->
-            let name = String.sub json (q1 + 1) (q2 - q1 - 1) in
-            let until =
-              match find_sub json "\"name\"" (q2 + 1) with
-              | Some next -> next
-              | None -> String.length json
-            in
-            let acc =
-              match value_after "\"ns_per_run\"" (q2 + 1) until with
-              | Some v -> (name, v) :: acc
-              | None -> acc
-            in
-            collect acc until)
-  in
-  collect [] 0
+(* The "results" timings: a row whose ns_per_run is null (the
+   un-timed one-shot sizes) is no row. *)
+let bench_rows doc =
+  List.filter_map
+    (fun (name, obj) ->
+      Option.map (fun v -> (name, v)) (number_field obj "ns_per_run"))
+    (keyed_entries doc ~section:"results" ~key:"name")
 
-(* The "latency" section: flat objects keyed "scenario".  Returns each
-   entry as (scenario, raw object text); fields are re-extracted per
-   key with [number_after].  The array holds only flat objects, so it
-   ends at the first ']' after its '['. *)
-let latency_entries json =
-  match find_sub json "\"latency\"" 0 with
-  | None -> []
-  | Some li -> (
-      match String.index_from_opt json li '[' with
-      | None -> []
-      | Some start ->
-          let stop =
-            match String.index_from_opt json start ']' with
-            | Some i -> i
-            | None -> String.length json
+(* Entry-by-entry comparison of one keyed section: every baseline entry
+   must exist in the current file, and each field of [fields] present
+   in the baseline entry must satisfy [same].  A field absent from the
+   baseline (a seed written before that counter existed) is skipped,
+   not failed, so baselines age gracefully across schema-compatible
+   additions; a baseline without the section holds nothing. *)
+let check_section ~label ~section ~key ~fields ~same ~show ~baseline_path
+    ~current_path baseline current =
+  let cur_entries = keyed_entries current ~section ~key in
+  List.fold_left
+    (fun ok (name, bobj) ->
+      match List.assoc_opt name cur_entries with
+      | None ->
+          Printf.printf "  %-45s MISSING from %s\n" (label ^ name) current_path;
+          false
+      | Some cobj ->
+          let bad =
+            List.filter_map
+              (fun key ->
+                match (number_field bobj key, number_field cobj key) with
+                | Some bv, Some cv when same bv cv -> None
+                | Some bv, Some cv ->
+                    Some (Printf.sprintf "%s %s -> %s" key (show bv) (show cv))
+                | Some _, None -> Some (key ^ " missing")
+                | None, _ -> None)
+              fields
           in
-          let section = String.sub json start (stop - start) in
-          let rec collect acc i =
-            match String.index_from_opt section i '{' with
-            | None -> List.rev acc
-            | Some o -> (
-                match String.index_from_opt section o '}' with
-                | None -> List.rev acc
-                | Some c ->
-                    collect (String.sub section o (c - o + 1) :: acc) (c + 1))
-          in
-          List.filter_map
-            (fun obj ->
-              match find_sub obj "\"scenario\"" 0 with
-              | None -> None
-              | Some si ->
-                  Option.bind
-                    (String.index_from_opt obj (si + 10) '"')
-                    (fun q1 ->
-                      Option.map
-                        (fun q2 ->
-                          (String.sub obj (q1 + 1) (q2 - q1 - 1), obj))
-                        (String.index_from_opt obj (q1 + 1) '"')))
-            (collect [] 0))
-
-(* The "workloads" section: flat objects keyed "name" carrying the
-   semantic counters.  Same single-level extraction as the latency
-   section. *)
-let workload_entries json =
-  match find_sub json "\"workloads\"" 0 with
-  | None -> []
-  | Some li -> (
-      match String.index_from_opt json li '[' with
-      | None -> []
-      | Some start ->
-          let stop =
-            match String.index_from_opt json start ']' with
-            | Some i -> i
-            | None -> String.length json
-          in
-          let section = String.sub json start (stop - start) in
-          let rec collect acc i =
-            match String.index_from_opt section i '{' with
-            | None -> List.rev acc
-            | Some o -> (
-                match String.index_from_opt section o '}' with
-                | None -> List.rev acc
-                | Some c ->
-                    collect (String.sub section o (c - o + 1) :: acc) (c + 1))
-          in
-          List.filter_map
-            (fun obj ->
-              match find_sub obj "\"name\"" 0 with
-              | None -> None
-              | Some si ->
-                  Option.bind
-                    (String.index_from_opt obj (si + 6) '"')
-                    (fun q1 ->
-                      Option.map
-                        (fun q2 ->
-                          (String.sub obj (q1 + 1) (q2 - q1 - 1), obj))
-                        (String.index_from_opt obj (q1 + 1) '"')))
-            (collect [] 0))
+          if bad = [] then begin
+            Printf.printf "  %-45s ok\n" (label ^ name);
+            ok
+          end
+          else begin
+            Printf.printf "  %-45s DRIFTED vs %s: %s\n" (label ^ name)
+              baseline_path (String.concat ", " bad);
+            false
+          end)
+    true
+    (keyed_entries baseline ~section ~key)
 
 (* Semantic counters are deterministic functions of (scenario, n,
    seed) — the recover.* tallies included — so the gate holds them to
-   exact equality.  A field absent from the baseline (a seed written
-   before that counter existed) is skipped, not failed, so baselines
-   age gracefully across schema-compatible additions. *)
-let workload_check_fields =
-  [
-    "\"syscalls\"";
-    "\"hops\"";
-    "\"drops\"";
-    "\"dropped_in_flight\"";
-    "\"retransmits\"";
-    "\"restarts\"";
-  ]
+   exact equality. *)
+let check_workloads =
+  check_section ~label:"workload/" ~section:"workloads" ~key:"name"
+    ~fields:
+      [
+        "syscalls"; "hops"; "drops"; "dropped_in_flight"; "retransmits";
+        "restarts";
+      ]
+    ~same:Float.equal ~show:(Printf.sprintf "%.0f")
 
-let check_workloads ~baseline_path ~current_path baseline current =
-  match workload_entries baseline with
-  | [] -> true (* baseline predates the workloads section *)
-  | base_entries ->
-      let cur_entries = workload_entries current in
-      List.fold_left
-        (fun ok (name, bobj) ->
-          match List.assoc_opt name cur_entries with
-          | None ->
-              Printf.printf "  workload/%-36s MISSING from %s\n" name
-                current_path;
-              false
-          | Some cobj ->
-              let field obj key = number_after obj key 0 (String.length obj) in
-              let bad =
-                List.filter_map
-                  (fun key ->
-                    match (field bobj key, field cobj key) with
-                    | Some bv, Some cv when bv = cv -> None
-                    | Some bv, Some cv ->
-                        Some (Printf.sprintf "%s %.0f -> %.0f" key bv cv)
-                    | Some _, None -> Some (key ^ " missing")
-                    | None, _ -> None (* field absent from the baseline *))
-                  workload_check_fields
-              in
-              if bad = [] then begin
-                Printf.printf "  workload/%-36s ok\n" name;
-                ok
-              end
-              else begin
-                Printf.printf "  workload/%-36s DRIFTED vs %s: %s\n" name
-                  baseline_path (String.concat ", " bad);
-                false
-              end)
-        true base_entries
+(* Simulated time is a deterministic function of (scenario, n, seed),
+   so any latency drift is a semantic change, not noise — unlike
+   ns_per_run there is no tolerance.  Exact up to float printing:
+   %.12g round-trips these values. *)
+let check_latency =
+  check_section ~label:"latency/" ~section:"latency" ~key:"scenario"
+    ~fields:
+      [
+        "messages"; "deliveries"; "unknown"; "hop_count"; "hop_p50";
+        "hop_p95"; "hop_p99"; "e2e_count"; "e2e_p50"; "e2e_p95"; "e2e_p99";
+      ]
+    ~same:(fun a b ->
+      Float.abs (a -. b)
+      <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)))
+    ~show:Json.number
 
-(* The fields the latency gate holds to equality.  Simulated time is a
-   deterministic function of (scenario, n, seed), so any drift here is
-   a semantic change, not noise — unlike ns_per_run there is no
-   tolerance. *)
-let latency_check_fields =
-  [
-    "\"messages\"";
-    "\"deliveries\"";
-    "\"unknown\"";
-    "\"hop_count\"";
-    "\"hop_p50\"";
-    "\"hop_p95\"";
-    "\"hop_p99\"";
-    "\"e2e_count\"";
-    "\"e2e_p50\"";
-    "\"e2e_p95\"";
-    "\"e2e_p99\"";
-  ]
-
-let latency_field obj key = number_after obj key 0 (String.length obj)
-
-(* Exact up to float printing: %.12g round-trips these values. *)
-let latency_field_equal a b =
-  Float.abs (a -. b)
-  <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
-
-let check_latency ~baseline_path ~current_path baseline current =
-  match latency_entries baseline with
-  | [] -> true (* baseline predates the latency section: nothing to hold *)
-  | base_entries ->
-      let cur_entries = latency_entries current in
-      List.fold_left
-        (fun ok (scenario, bobj) ->
-          match List.assoc_opt scenario cur_entries with
-          | None ->
-              Printf.printf "  latency/%-37s MISSING from %s\n" scenario
-                current_path;
-              false
-          | Some cobj ->
-              let bad =
-                List.filter_map
-                  (fun key ->
-                    match (latency_field bobj key, latency_field cobj key) with
-                    | Some bv, Some cv when latency_field_equal bv cv -> None
-                    | Some bv, Some cv ->
-                        Some (Printf.sprintf "%s %.12g -> %.12g" key bv cv)
-                    | Some _, None -> Some (key ^ " missing")
-                    | None, _ -> None (* field absent from the baseline *))
-                  latency_check_fields
-              in
-              if bad = [] then begin
-                Printf.printf "  latency/%-37s ok\n" scenario;
-                ok
-              end
-              else begin
-                Printf.printf "  latency/%-37s DRIFTED vs %s: %s\n" scenario
-                  baseline_path (String.concat ", " bad);
-                false
-              end)
-        true base_entries
-
-let bench_n json =
-  Option.map int_of_float
-    (number_after json "\"n\"" 0 (String.length json))
-
-let bench_schema json =
-  Option.map int_of_float
-    (number_after json "\"schema_version\"" 0 (String.length json))
+let int_field doc key =
+  Result.to_option (Result.bind (Json.member key doc) Json.to_int)
 
 (* A baseline from another schema generation would diff spuriously
    (renamed sections, re-keyed entries); refuse it with a pointed
    error instead.  Baselines predating the field count as version 1. *)
-let check_schema ~path json =
-  let found = Option.value ~default:1 (bench_schema json) in
+let check_schema ~path doc =
+  let found = Option.value ~default:1 (int_field doc "schema_version") in
   let want = Sim.Trace_export.schema_version in
   if found = want then true
   else begin
@@ -1548,37 +1371,31 @@ let check_schema ~path json =
    is deterministic on any machine.  A benchmark missing from the
    current file is a failure: renames must update the baseline. *)
 let check_baseline ~tolerance baseline_path =
-  match read_file baseline_path with
-  | exception Sys_error msg ->
-      Printf.eprintf "bench check: %s\n" msg;
-      false
-  | baseline -> (
+  let fail msg =
+    Printf.eprintf "bench check: %s\n" msg;
+    false
+  in
+  match read_bench baseline_path with
+  | Error msg -> fail msg
+  | Ok baseline -> (
       if not (check_schema ~path:baseline_path baseline) then false
       else
-      match bench_n baseline with
-      | None ->
-          Printf.eprintf "bench check: %s has no \"n\" field\n" baseline_path;
-          false
+      match int_field baseline "n" with
+      | None -> fail (baseline_path ^ " has no \"n\" field")
       | Some n -> (
           let current_path =
             Filename.concat
               (Filename.dirname baseline_path)
               (Printf.sprintf "BENCH_%d.json" n)
           in
-          match read_file current_path with
-          | exception Sys_error msg ->
-              Printf.eprintf "bench check: %s\n" msg;
-              false
-          | current ->
+          match read_bench current_path with
+          | Error msg -> fail msg
+          | Ok current ->
               let rows = bench_rows baseline in
               let current_rows = bench_rows current in
               Printf.printf "\n-- bench check: %s vs %s (tolerance %g%%) --\n"
                 current_path baseline_path tolerance;
-              if rows = [] then begin
-                Printf.eprintf "bench check: no benchmarks in %s\n"
-                  baseline_path;
-                false
-              end
+              if rows = [] then fail ("no benchmarks in " ^ baseline_path)
               else
                 let ns_ok =
                   List.fold_left

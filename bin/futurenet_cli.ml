@@ -48,7 +48,7 @@ let build_graph topology n seed =
 let bpaths_precomputed art ~root =
   if root = 0 then
     ( Some (Compile.Topology.labelling art),
-      Compile.Topology.routes art ~chaos:None )
+      Some (Compile.Topology.routes art) )
   else (None, None)
 
 (* an Arg.enum, so an unknown family is a proper Cmdliner error: non-zero
@@ -85,13 +85,14 @@ let json_flag =
   Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the result as one JSON object on stdout.")
 
-(* JSON helpers shared by --json output paths; floats use %.12g like
-   the trace exporters so output is deterministic *)
-let json_float f = Printf.sprintf "%.12g" f
+(* --json output: one object of pre-rendered values, written through
+   Sim.Json like every other JSON artefact *)
+module Json = Sim.Json
 
 let json_obj fields =
   "{"
-  ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields)
+  ^ String.concat ","
+      (List.map (fun (k, v) -> Json.quote k ^ ":" ^ v) fields)
   ^ "}"
 
 (* -- experiment -------------------------------------------------------- *)
@@ -179,9 +180,9 @@ let run_broadcast algo ?config ?precomputed ?routes ~graph ~root () =
 let broadcast_json ~algo ~topology ~graph ~root (r : Core.Broadcast.result) =
   json_obj
     [
-      ("command", "\"broadcast\"");
-      ("algorithm", Printf.sprintf "%S" (algo_name algo));
-      ("topology", Printf.sprintf "%S" (topology_name topology));
+      ("command", Json.quote "broadcast");
+      ("algorithm", Json.quote (algo_name algo));
+      ("topology", Json.quote (topology_name topology));
       ("n", string_of_int (Netgraph.Graph.n graph));
       ("m", string_of_int (Netgraph.Graph.m graph));
       ("root", string_of_int root);
@@ -191,7 +192,7 @@ let broadcast_json ~algo ~topology ~graph ~root (r : Core.Broadcast.result) =
       ("sends", string_of_int r.sends);
       ("drops", string_of_int r.drops);
       ("max_header", string_of_int r.max_header);
-      ("time", json_float r.time);
+      ("time", Json.number r.time);
     ]
 
 let broadcast_cmd =
@@ -251,8 +252,8 @@ let broadcast_cmd =
 let election_json ~topology ~n (o : Core.Election.outcome) =
   json_obj
     [
-      ("command", "\"election\"");
-      ("topology", Printf.sprintf "%S" (topology_name topology));
+      ("command", Json.quote "election");
+      ("topology", Json.quote (topology_name topology));
       ("n", string_of_int n);
       ("leader", string_of_int o.Core.Election.leader);
       ("election_syscalls", string_of_int o.election_syscalls);
@@ -263,7 +264,7 @@ let election_json ~topology ~n (o : Core.Election.outcome) =
       ("tours", string_of_int o.tours);
       ("captures", string_of_int o.captures);
       ("max_route", string_of_int o.max_route);
-      ("time", json_float o.time);
+      ("time", Json.number o.time);
       ( "everyone_informed",
         string_of_bool
           (Array.for_all
@@ -369,9 +370,9 @@ let trace_cmd =
                   ~fields:
                     [
                       ("scenario",
-                       Printf.sprintf "%S" (scenario_tag scenario));
+                       Json.quote (scenario_tag scenario));
                       ("topology",
-                       Printf.sprintf "%S" (topology_name topology));
+                       Json.quote (topology_name topology));
                       ("n", string_of_int n);
                       ("seed", string_of_int seed);
                       ("root", string_of_int root);
@@ -587,12 +588,12 @@ let profile_cmd =
           print_endline
             (json_obj
                [
-                 ("command", "\"profile\"");
-                 ("scenario", Printf.sprintf "%S" (scenario_name scenario));
-                 ("topology", Printf.sprintf "%S" (topology_name topology));
+                 ("command", Json.quote "profile");
+                 ("scenario", Json.quote (scenario_name scenario));
+                 ("topology", Json.quote (topology_name topology));
                  ("n", string_of_int n);
-                 ("c", json_float c);
-                 ("p", json_float p);
+                 ("c", Json.number c);
+                 ("p", Json.number p);
                  ("events", string_of_int (Analysis.Event_dag.size dag));
                  ("critical_path", Analysis.Critical_path.to_json cp);
                  ("slack", Analysis.Critical_path.slack_stats_json stats);

@@ -93,7 +93,7 @@ val pp : Format.formatter -> t -> unit
     steps, with an explicit count of what was skipped). *)
 
 val to_json : t -> string
-(** Deterministic JSON ([%.12g] floats, fixed field order): summary,
-    attribution, and the full step list. *)
+(** Deterministic JSON ({!Sim.Json} quoting and floats, fixed field
+    order): summary, attribution, and the full step list. *)
 
 val slack_stats_json : slack_stats -> string

@@ -323,18 +323,20 @@ let to_json t =
     t.index t.n (ftos t.jitter)
     (String.concat "," (List.map fault_json t.faults))
 
+module Json = Sim.Json
+
 let ( let* ) = Result.bind
 
 let fault_of_json j =
-  let* kind = Result.bind (Jsonx.member "kind" j) Jsonx.to_string in
-  let* at = Result.bind (Jsonx.member "at" j) Jsonx.to_float in
+  let* kind = Result.bind (Json.member "kind" j) Json.to_string in
+  let* at = Result.bind (Json.member "at" j) Json.to_float in
   let link make =
-    let* u = Result.bind (Jsonx.member "u" j) Jsonx.to_int in
-    let* v = Result.bind (Jsonx.member "v" j) Jsonx.to_int in
+    let* u = Result.bind (Json.member "u" j) Json.to_int in
+    let* v = Result.bind (Json.member "v" j) Json.to_int in
     Ok (make u v)
   in
   let node make =
-    let* node = Result.bind (Jsonx.member "node" j) Jsonx.to_int in
+    let* node = Result.bind (Json.member "node" j) Json.to_int in
     Ok (make node)
   in
   match kind with
@@ -346,11 +348,11 @@ let fault_of_json j =
   | other -> Error (Printf.sprintf "unknown fault kind %S" other)
 
 let of_json_value j =
-  let* seed = Result.bind (Jsonx.member "seed" j) Jsonx.to_int in
-  let* index = Result.bind (Jsonx.member "index" j) Jsonx.to_int in
-  let* n = Result.bind (Jsonx.member "n" j) Jsonx.to_int in
-  let* jitter = Result.bind (Jsonx.member "jitter" j) Jsonx.to_float in
-  let* fault_list = Result.bind (Jsonx.member "faults" j) Jsonx.to_list in
+  let* seed = Result.bind (Json.member "seed" j) Json.to_int in
+  let* index = Result.bind (Json.member "index" j) Json.to_int in
+  let* n = Result.bind (Json.member "n" j) Json.to_int in
+  let* jitter = Result.bind (Json.member "jitter" j) Json.to_float in
+  let* fault_list = Result.bind (Json.member "faults" j) Json.to_list in
   let* faults =
     List.fold_left
       (fun acc fj ->
@@ -363,6 +365,6 @@ let of_json_value j =
   let* () = well_formed t in
   Ok t
 
-let of_json src = Result.bind (Jsonx.parse src) of_json_value
+let of_json src = Result.bind (Json.parse src) of_json_value
 
 let equal a b = a = b

@@ -112,7 +112,7 @@ val to_json : t -> string
 
 val of_json : string -> (t, string) result
 
-val of_json_value : Jsonx.t -> (t, string) result
+val of_json_value : Sim.Json.t -> (t, string) result
 (** The schedule object inside an already-parsed enclosing document
     (the repro-file reader uses this). *)
 

@@ -8,10 +8,10 @@
     their key; a first-touch race can at worst build twice and keep
     one winner.
 
-    The cache never invalidates graphs — keys are immutable
-    descriptions, not live network state.  What does invalidate is the
-    route table inside an artifact: {!Topology.routes} refuses to hand
-    out compiled routes while a {!Hardware.Fault_plan} is armed. *)
+    The cache never invalidates — keys are immutable descriptions, not
+    live network state, and compiled route tables name the static
+    graph's link indices, so they stay valid while a
+    {!Hardware.Fault_plan} mutates the live network. *)
 
 type stats = { hits : int; misses : int; evictions : int }
 

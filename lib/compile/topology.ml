@@ -83,12 +83,4 @@ let routes_u t =
 let tree t = locked t (fun () -> tree_u t)
 let labelling t = locked t (fun () -> labelling_u t)
 
-let routes t ~chaos =
-  match chaos with
-  | Some _ ->
-      (* a fault plan mutates the live topology; compiled routes from
-         the pristine graph must not be replayed across the mutation,
-         so an armed plan invalidates them — callers fall back to
-         building headers from walks at send time *)
-      None
-  | None -> Some (locked t (fun () -> routes_u t))
+let routes t = locked t (fun () -> routes_u t)

@@ -40,15 +40,12 @@ val tree : t -> Netgraph.Tree.t
 val labelling : t -> Core.Labels.t
 (** The labelling / path decomposition of {!tree}. *)
 
-val routes : t -> chaos:Hardware.Fault_plan.t option -> Hardware.Anr.route array array option
+val routes : t -> Hardware.Anr.route array array
 (** The branching-paths route table: element [v] holds the compiled
     copy-all headers of [Labels.paths_from (labelling t) v] in path
-    order.  Returns [None] when a fault plan is armed: the plan
-    mutates the live topology, and compiled routes must never be
-    replayed across such a mutation — callers then rebuild headers
-    from walks at send time (the route cache is invalidated, the
-    graph and labelling remain valid because broadcasts compute them
-    from the static view). *)
+    order.  Valid under an armed fault plan too: headers name the
+    static graph's link indices, so a compiled header is the same
+    packet a walk would build at send time. *)
 
 val compile_routes :
   Core.Labels.t -> Netgraph.Graph.t -> Hardware.Anr.route array array

@@ -119,10 +119,6 @@ let spec ?precomputed ?routes ?recovery ~multicast ~reached ~view v =
 
 let run ?(config = Broadcast.default_config ()) ?(multicast = true) ?precomputed
     ?routes ~graph ~root () =
-  (* a fault plan mutates topology mid-run: conservatively drop any
-     pre-compiled route table and rebuild headers from walks at send
-     time, so chaos never replays routes across the mutation *)
-  let routes = if config.Broadcast.chaos <> None then None else routes in
   let recovery = Broadcast.Recovery.create config ~n:(Graph.n graph) ~root in
   Broadcast.execute ~config ~graph ~root
     ~spec:(spec ?precomputed ?routes ?recovery ~multicast)

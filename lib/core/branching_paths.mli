@@ -86,10 +86,9 @@ val run :
     but its completion time degrades from O(log n) toward
     O(log n * max-degree).
 
-    When [config.chaos] carries a fault plan, [routes] is ignored: the
-    plan mutates topology mid-run, and compiled routes must never be
-    replayed across such a mutation (see {!Compile.Topology.routes},
-    which refuses to hand them out in the first place).
+    [routes] stay valid when [config.chaos] carries a fault plan:
+    headers name the static graph's link indices, so a compiled header
+    and one built from the walk at send time are the same packet.
 
     When [config.recover] is set, the run is self-healing: receivers
     acknowledge each accepted attempt up the broadcast tree and the

@@ -166,7 +166,14 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
      virtual-tree parents, so [entry] lies in that tree — then along
      the reverse walk the token carried from its origin.  Both pieces
      are int arrays; splicing them (the walk-home shares [entry]) is
-     two blits into one exact-size array. *)
+     two blits into one exact-size array.
+
+     [None] when [v]'s tree never recorded [entry]: only a fault gets
+     there (a victim's capture return was lost after it had already
+     re-parented, so tours now climb into a domain that never learned
+     of it).  The holder then discards the token — no capture, no
+     return — and, under recovery, the touring origin's watchdog
+     re-tours. *)
   let walk_home v token =
     let inout =
       match roles.(v) with
@@ -174,33 +181,39 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
       | Captured cap -> cap.frozen
       | Unstarted -> invalid_arg "Election.walk_home: unstarted node"
     in
-    let to_entry = Inout.route_array inout ~src:v ~dst:token.entry in
-    let a = Array.length to_entry and b = Array.length token.home_walk in
-    let walk = Array.make (a + b - 1) 0 in
-    Array.blit to_entry 0 walk 0 a;
-    Array.blit token.home_walk 1 walk a (b - 1);
-    walk
+    if not (Inout.mem inout token.entry) then None
+    else begin
+      let to_entry = Inout.route_array inout ~src:v ~dst:token.entry in
+      let a = Array.length to_entry and b = Array.length token.home_walk in
+      let walk = Array.make (a + b - 1) 0 in
+      Array.blit to_entry 0 walk 0 a;
+      Array.blit token.home_walk 1 walk a (b - 1);
+      Some walk
+    end
   in
 
   let return_unsuccessful ctx v token =
-    send ctx ~label:"election" (walk_home v token)
-      (Return
-         {
-           to_origin = token.torigin;
-           verdict = Unsuccessful;
-           repoch = token.tepoch;
-         })
+    match walk_home v token with
+    | None -> ()
+    | Some walk ->
+        send ctx ~label:"election" walk
+          (Return
+             {
+               to_origin = token.torigin;
+               verdict = Unsuccessful;
+               repoch = token.tepoch;
+             })
   in
 
   (* [v] is an origin whose level is below the token's; its whole
      domain joins the token's candidate (rule 2.2). *)
   let capture ctx v token =
-    match roles.(v) with
-    | Origin st ->
+    match (roles.(v), walk_home v token) with
+    | Origin _, None -> ()
+    | Origin st, Some home ->
         incr captures;
         obs_capture ();
         cancel_dog v;
-        let home = walk_home v token in
         roles.(v) <- Captured { frozen = st.inout; parent_walk = home };
         send ctx ~label:"election" home
           (Return
@@ -211,7 +224,7 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
                    { victim = v; victim_inout = st.inout; entry = token.entry };
                repoch = token.tepoch;
              })
-    | Captured _ | Unstarted -> assert false
+    | (Captured _ | Unstarted), _ -> assert false
   in
 
   let choose_target st =

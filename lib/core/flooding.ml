@@ -30,7 +30,10 @@ let spec ?recovery ?ack_tree ~reached ~view:_ v =
   {
     Network.on_start =
       (fun ctx ->
+        (* the root has seen its own attempt: an echo must not make
+           it forward the same attempt a second time *)
         let send attempt =
+          seen_attempt := attempt;
           forward ctx ~except:None (Data { origin = Network.self ctx; attempt })
         in
         send 0;

@@ -91,7 +91,7 @@ let run_replica scenario ~n ~seed ~trace_capacity ~keep_events index rng =
           | Bpaths ->
               Core.Branching_paths.run ~config
                 ~precomputed:(Compile.Topology.labelling art)
-                ?routes:(Compile.Topology.routes art ~chaos:config.chaos)
+                ~routes:(Compile.Topology.routes art)
                 ~graph ~root:0 ()
           | Flood -> Core.Flooding.run ~config ~graph ~root:0 ()
           | Dfs -> Core.Dfs_broadcast.run ~config ~graph ~root:0 ()
@@ -196,13 +196,13 @@ let run ?pool ?(replicas = 8) ?(trace_capacity = default_trace_capacity)
 
 (* -- JSON ------------------------------------------------------------- *)
 
-let float_str f = Printf.sprintf "%.12g" f
 
 let replica_json r =
   Printf.sprintf
     "{\"replica\":%d,\"syscalls\":%d,\"hops\":%d,\"sends\":%d,\"drops\":%d,\
      \"max_header\":%d,\"time\":%s,\"covered\":%d,\"trace_events\":%d}"
-    r.index r.syscalls r.hops r.sends r.drops r.max_header (float_str r.time)
+    r.index r.syscalls r.hops r.sends r.drops r.max_header
+    (Sim.Json.number r.time)
     r.covered r.trace_events
 
 (* Everything parallelism must not change: per-replica metrics in
@@ -222,7 +222,7 @@ let to_json t =
     "{\"scenario\":\"%s\",\"n\":%d,\"seed\":%d,\"jobs\":%d,\"replicas\":%d,\
      \"wall_s\":%s,\"metrics\":%s}"
     (scenario_name t.scenario) t.n t.seed t.jobs
-    (Array.length t.replicas) (float_str t.wall_s) (metrics_json t)
+    (Array.length t.replicas) (Sim.Json.number t.wall_s) (metrics_json t)
 
 let pp ppf t =
   Format.fprintf ppf "%s sweep: n=%d seed=%d jobs=%d replicas=%d wall %.3fs@."

@@ -234,7 +234,7 @@ let to_json outcome =
         (String.concat ","
            (List.map
               (fun (i, kind, e) ->
-                Printf.sprintf "{\"index\":%d,\"edge\":\"%s\",\"event\":%s}"
-                  i (edge_name kind)
+                Printf.sprintf "{\"index\":%d,\"edge\":%s,\"event\":%s}"
+                  i (Sim.Json.quote (edge_name kind))
                   (Sim.Trace_export.jsonl_of_event e))
               d.chain))

@@ -123,6 +123,8 @@ type group = {
   g_t_max : float;
 }
 
+module Json = Sim.Json
+
 (* the node an event is charged to: a hop to its destination (the
    critical-path convention), a link change to its initiator *)
 let charged_node (e : Sim.Trace.event) =
@@ -143,7 +145,7 @@ type state = {
   mutable lines : int;
   mutable events : int;
   mutable matched : int;
-  mutable header : (int * string * Sim.Trace_import.record) option;
+  mutable header : (int * string * (string * Json.t) list) option;
   mutable truncated : (int * int * int) option;
   other : (string, int ref) Hashtbl.t;
   mutable t_min : float;
@@ -157,7 +159,7 @@ type state = {
 
 type report = {
   source : string;
-  header : (int * string * Sim.Trace_import.record) option;
+  header : (int * string * (string * Json.t) list) option;
   lines : int;
   events : int;
   matched : int;
@@ -333,11 +335,12 @@ let pp ppf r =
                    (fun (k, v) ->
                      Printf.sprintf "%s=%s" k
                        (match v with
-                       | Sim.Trace_import.String s -> s
-                       | Sim.Trace_import.Number f ->
-                           Printf.sprintf "%g" f
-                       | Sim.Trace_import.Bool b -> string_of_bool b
-                       | Sim.Trace_import.Null -> "null"))
+                       | Json.Str s -> s
+                       | Json.Num f -> Printf.sprintf "%g" f
+                       | Json.Bool b -> string_of_bool b
+                       (* header fields are flat: Trace_import refuses
+                          nested values *)
+                       | Json.(Null | Arr _ | Obj _) -> "null"))
                    fs))
   | None -> Format.fprintf ppf "  header: none (bare event stream)@.");
   (match r.truncated with
@@ -366,17 +369,13 @@ let pp ppf r =
         rows);
   Latency.pp ppf r.latency
 
-let json_float f = Printf.sprintf "%.12g" (if Float.is_nan f then 0.0 else f)
-
-let json_string = Sim.Trace_export.json_string
-
 let to_json r =
   let header =
     match r.header with
     | None -> "null"
     | Some (sv, kind, _) ->
         Printf.sprintf "{\"schema_version\":%d,\"kind\":%s}" sv
-          (json_string kind)
+          (Json.quote kind)
   in
   let truncated =
     match r.truncated with
@@ -391,14 +390,14 @@ let to_json r =
       (List.map
          (fun (k, c) ->
            Printf.sprintf "{\"kind\":%s,\"count\":%d}"
-             (json_string (kind_name k)) c)
+             (Json.quote (kind_name k)) c)
          r.by_kind)
   in
   let other =
     String.concat ","
       (List.map
          (fun (k, c) ->
-           Printf.sprintf "{\"record\":%s,\"count\":%d}" (json_string k) c)
+           Printf.sprintf "{\"record\":%s,\"count\":%d}" (Json.quote k) c)
          r.other)
   in
   let groups =
@@ -406,20 +405,20 @@ let to_json r =
     | None -> "null"
     | Some (gb, rows) ->
         Printf.sprintf "{\"by\":%s,\"rows\":[%s]}"
-          (json_string (group_by_name gb))
+          (Json.quote (group_by_name gb))
           (String.concat ","
              (List.map
                 (fun g ->
                   Printf.sprintf
                     "{\"key\":%s,\"count\":%d,\"t_min\":%s,\"t_max\":%s}"
-                    (json_string g.g_key) g.g_count (json_float g.g_t_min)
-                    (json_float g.g_t_max))
+                    (Json.quote g.g_key) g.g_count (Json.number g.g_t_min)
+                    (Json.number g.g_t_max))
                 rows))
   in
   Printf.sprintf
     "{\"source\":%s,\"header\":%s,\"lines\":%d,\"events\":%d,\"matched\":%d,\
      \"truncated\":%s,\"t_min\":%s,\"t_max\":%s,\"kinds\":[%s],\
      \"other\":[%s],\"groups\":%s,\"latency\":%s}"
-    (json_string r.source) header r.lines r.events r.matched truncated
-    (json_float r.t_min) (json_float r.t_max) kinds other groups
+    (Json.quote r.source) header r.lines r.events r.matched truncated
+    (Json.number r.t_min) (Json.number r.t_max) kinds other groups
     (Latency.to_json r.latency)

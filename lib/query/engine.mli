@@ -47,7 +47,7 @@ type group = {
 
 type report = {
   source : string;
-  header : (int * string * Sim.Trace_import.record) option;
+  header : (int * string * (string * Sim.Json.t) list) option;
       (** (schema_version, kind, extra fields) of the stream header *)
   lines : int;  (** records read, headers and telemetry included *)
   events : int;  (** trace events seen *)
@@ -82,4 +82,4 @@ val run_file :
 
 val pp : Format.formatter -> report -> unit
 val to_json : report -> string
-(** Deterministic ([%.12g] floats, fixed field order). *)
+(** Deterministic ({!Sim.Json.number} floats, fixed field order). *)

@@ -284,7 +284,7 @@ let link_max s = if s.ls_count = 0 then nan else s.ls_max
 
 (* -- rendering ---------------------------------------------------------- *)
 
-let json_float f = Printf.sprintf "%.12g" f
+module Json = Sim.Json
 
 let dist_fields h =
   [
@@ -297,12 +297,9 @@ let dist_fields h =
     ("p99", Histo.quantile h 0.99);
   ]
 
-(* empty distributions print 0s, not "nan" (which is not JSON) *)
+(* empty distributions print 0s: Json.number maps NaN to 0 *)
 let dist_json h =
-  let field (k, v) =
-    Printf.sprintf "\"%s\":%s" k
-      (json_float (if Float.is_nan v then 0.0 else v))
-  in
+  let field (k, v) = Printf.sprintf "\"%s\":%s" k (Json.number v) in
   "{" ^ String.concat "," (List.map field (dist_fields h)) ^ "}"
 
 let to_json ?(max_links = 64) t =
@@ -318,18 +315,18 @@ let to_json ?(max_links = 64) t =
     split max_links all_links
   in
   let link_json ((u, v), s) =
-    let num f = json_float (if Float.is_nan f then 0.0 else f) in
     Printf.sprintf
       "{\"link\":\"%d->%d\",\"count\":%d,\"mean\":%s,\"min\":%s,\"max\":%s}"
-      u v s.ls_count (num (link_mean s)) (num (link_min s)) (num (link_max s))
+      u v s.ls_count (Json.number (link_mean s)) (Json.number (link_min s))
+      (Json.number (link_max s))
   in
   Printf.sprintf
     "{\"c\":%s,\"p\":%s,\"messages\":%d,\"deliveries\":%d,\"unknown\":%d,\
      \"c_work\":%s,\"p_work\":%s,\"wait\":%s,\
      \"hop\":%s,\"delivery\":%s,\"end_to_end\":%s,\
      \"links\":[%s],\"links_elided\":%d}"
-    (json_float t.c) (json_float t.p) t.messages t.deliveries t.unknown
-    (json_float t.c_work) (json_float t.p_work) (json_float t.wait)
+    (Json.number t.c) (Json.number t.p) t.messages t.deliveries t.unknown
+    (Json.number t.c_work) (Json.number t.p_work) (Json.number t.wait)
     (dist_json t.hop) (dist_json t.delivery) (dist_json t.e2e)
     (String.concat "," (List.map link_json shown))
     elided

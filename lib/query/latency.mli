@@ -87,8 +87,8 @@ val dist_fields : Histo.t -> (string * float) list
     JSON-ready key/value pairs (count included as a float). *)
 
 val to_json : ?max_links:int -> t -> string
-(** Deterministic JSON object ([%.12g] floats).  At most [max_links]
-    (default 64) per-link entries are rendered, busiest first, with an
-    explicit ["links_elided"] count for the rest. *)
+(** Deterministic JSON object ({!Sim.Json.number} floats).  At most
+    [max_links] (default 64) per-link entries are rendered, busiest
+    first, with an explicit ["links_elided"] count for the rest. *)
 
 val pp : Format.formatter -> t -> unit

@@ -18,8 +18,9 @@
     delay structure is visible at Perfetto's default zoom.
 
     Output is deterministic byte-for-byte for a given trace: field
-    order is fixed and floats are printed with ["%.12g"].  This is
-    what makes golden-file testing of the exporters possible. *)
+    order is fixed, strings go through {!Json.quote} and floats
+    through {!Json.number}.  This is what makes golden-file testing of
+    the exporters possible. *)
 
 val schema_version : int
 (** Version of the JSONL record vocabulary and the BENCH json shape.
@@ -27,9 +28,7 @@ val schema_version : int
     refuses baselines written under a different version. *)
 
 val json_string : string -> string
-(** A JSON string literal with this writer's escaping, exported so
-    downstream renderers (the query engine's reports) escape labels
-    byte-identically to the trace stream they quote. *)
+(** {!Json.quote}, the writer's escaping. *)
 
 val jsonl_of_event : Trace.event -> string
 (** One event as a single-line JSON object (no trailing newline).

@@ -1,309 +1,136 @@
-(* A hand-rolled reader to match the hand-rolled writer: every record
-   the repo emits is a single-line flat JSON object, so the parser is
-   a few dozen lines and the library keeps its zero-dependency rule.
-   Strictness is deliberate — a malformed line means the stream was
-   corrupted (or is not ours), and analysis over a corrupted stream
-   should refuse, not guess. *)
-
-type value = String of string | Number of float | Bool of bool | Null
-
-type record = (string * value) list
+(* Each line is parsed by {!Json}; what makes it a schema-v2 record
+   is checked on the parsed value: a flat object (nested values are not
+   part of the vocabulary) carrying a string "type".  Strictness is
+   deliberate — a malformed line means the stream was corrupted (or is
+   not ours), and analysis over a corrupted stream should refuse, not
+   guess. *)
 
 type line =
-  | Header of { schema_version : int; kind : string; fields : record }
+  | Header of { schema_version : int; kind : string;
+                fields : (string * Json.t) list }
   | Event of Trace.event
   | Truncated of { time : float; dropped : int; dropped_ring : int;
                    dropped_sink : int }
-  | Other of { kind : string; fields : record }
+  | Other of { kind : string; fields : (string * Json.t) list }
 
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
-(* -- scanner ----------------------------------------------------------- *)
+let req conv j key =
+  match Result.bind (Json.member key j) conv with
+  | Ok v -> v
+  | Error msg -> bad "field %S: %s" key msg
 
-type cursor = { s : string; mutable pos : int }
-
-let peek c = if c.pos < String.length c.s then Some c.s.[c.pos] else None
-
-let skip_ws c =
-  while
-    c.pos < String.length c.s
-    && (match c.s.[c.pos] with ' ' | '\t' | '\r' -> true | _ -> false)
-  do
-    c.pos <- c.pos + 1
-  done
-
-let expect c ch =
-  skip_ws c;
-  match peek c with
-  | Some x when x = ch -> c.pos <- c.pos + 1
-  | Some x -> bad "expected %c at byte %d, found %c" ch c.pos x
-  | None -> bad "expected %c at byte %d, found end of line" ch c.pos
-
-let hex_digit = function
-  | '0' .. '9' as ch -> Char.code ch - Char.code '0'
-  | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
-  | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
-  | ch -> bad "bad hex digit %c in \\u escape" ch
-
-(* Decodes the escapes [Trace_export.json_string] produces; \uXXXX is
-   decoded for the control range it is emitted for (and to UTF-8 for
-   anything larger, so foreign writers round-trip too). *)
-let parse_string c =
-  expect c '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> bad "unterminated string"
-    | Some '"' -> c.pos <- c.pos + 1
-    | Some '\\' ->
-        c.pos <- c.pos + 1;
-        (match peek c with
-        | None -> bad "unterminated escape"
-        | Some ch ->
-            c.pos <- c.pos + 1;
-            (match ch with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'u' ->
-                if c.pos + 4 > String.length c.s then bad "truncated \\u escape";
-                let code =
-                  (hex_digit c.s.[c.pos] lsl 12)
-                  lor (hex_digit c.s.[c.pos + 1] lsl 8)
-                  lor (hex_digit c.s.[c.pos + 2] lsl 4)
-                  lor hex_digit c.s.[c.pos + 3]
-                in
-                c.pos <- c.pos + 4;
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf
-                    (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-            | ch -> bad "unknown escape \\%c" ch));
-        go ()
-    | Some ch ->
-        c.pos <- c.pos + 1;
-        Buffer.add_char buf ch;
-        go ()
-  in
-  go ();
-  Buffer.contents buf
-
-let is_number_char = function
-  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-  | _ -> false
-
-let parse_value c =
-  skip_ws c;
-  match peek c with
-  | None -> bad "expected a value, found end of line"
-  | Some '"' -> String (parse_string c)
-  | Some ('{' | '[') ->
-      bad "nested values are not part of the schema-v2 vocabulary"
-  | Some 't' when c.pos + 4 <= String.length c.s
-                  && String.sub c.s c.pos 4 = "true" ->
-      c.pos <- c.pos + 4;
-      Bool true
-  | Some 'f' when c.pos + 5 <= String.length c.s
-                  && String.sub c.s c.pos 5 = "false" ->
-      c.pos <- c.pos + 5;
-      Bool false
-  | Some 'n' when c.pos + 4 <= String.length c.s
-                  && String.sub c.s c.pos 4 = "null" ->
-      c.pos <- c.pos + 4;
-      Null
-  | Some ch when is_number_char ch ->
-      let start = c.pos in
-      while
-        c.pos < String.length c.s && is_number_char c.s.[c.pos]
-      do
-        c.pos <- c.pos + 1
-      done;
-      let span = String.sub c.s start (c.pos - start) in
-      (match float_of_string_opt span with
-      | Some f -> Number f
-      | None -> bad "bad number %S" span)
-  | Some ch -> bad "unexpected character %c at byte %d" ch c.pos
-
-let parse_record_exn s =
-  let c = { s; pos = 0 } in
-  expect c '{';
-  skip_ws c;
-  let fields =
-    if peek c = Some '}' then begin
-      c.pos <- c.pos + 1;
-      []
-    end
-    else begin
-      let rec members acc =
-        let key = (skip_ws c; parse_string c) in
-        expect c ':';
-        let v = parse_value c in
-        skip_ws c;
-        match peek c with
-        | Some ',' ->
-            c.pos <- c.pos + 1;
-            members ((key, v) :: acc)
-        | Some '}' ->
-            c.pos <- c.pos + 1;
-            List.rev ((key, v) :: acc)
-        | _ -> bad "expected , or } at byte %d" c.pos
-      in
-      members []
-    end
-  in
-  skip_ws c;
-  if c.pos <> String.length c.s then
-    bad "trailing garbage after object at byte %d" c.pos;
-  fields
-
-let parse_record s =
-  match parse_record_exn s with
-  | fields -> Ok fields
-  | exception Bad msg -> Error msg
-
-(* -- field access ------------------------------------------------------- *)
-
-let number fields key =
-  match List.assoc_opt key fields with Some (Number f) -> Some f | _ -> None
-
-let int_field fields key =
-  match number fields key with Some f -> Some (int_of_float f) | None -> None
-
-let string_field fields key =
-  match List.assoc_opt key fields with Some (String s) -> Some s | _ -> None
-
-let bool_field fields key =
-  match List.assoc_opt key fields with Some (Bool b) -> Some b | _ -> None
-
-let req_number fields key =
-  match number fields key with
-  | Some f -> f
-  | None -> bad "missing numeric field %S" key
-
-let req_int fields key = int_of_float (req_number fields key)
-
-let req_string fields key =
-  match string_field fields key with
-  | Some s -> s
-  | None -> bad "missing string field %S" key
-
-let req_bool fields key =
-  match bool_field fields key with
-  | Some b -> b
-  | None -> bad "missing boolean field %S" key
+let req_number = req Json.to_float
+let req_int = req Json.to_int
+let req_string = req Json.to_string
+let req_bool = req Json.to_bool
 
 (* -- classification ----------------------------------------------------- *)
 
-let event_of_record kind fields =
+let event_of_record kind j =
   match kind with
   | "hop" ->
       Some
         (Trace.Hop
            {
-             src = req_int fields "src";
-             dst = req_int fields "dst";
-             time = req_number fields "time";
-             msg_id = req_int fields "msg_id";
+             src = req_int j "src";
+             dst = req_int j "dst";
+             time = req_number j "time";
+             msg_id = req_int j "msg_id";
            })
   | "syscall" ->
       Some
         (Trace.Syscall
            {
-             node = req_int fields "node";
-             time = req_number fields "time";
-             label = req_string fields "label";
+             node = req_int j "node";
+             time = req_number j "time";
+             label = req_string j "label";
            })
   | "send" ->
       Some
         (Trace.Send
            {
-             node = req_int fields "node";
-             time = req_number fields "time";
-             msg_id = req_int fields "msg_id";
-             label = req_string fields "label";
+             node = req_int j "node";
+             time = req_number j "time";
+             msg_id = req_int j "msg_id";
+             label = req_string j "label";
            })
   | "receive" ->
       Some
         (Trace.Receive
            {
-             node = req_int fields "node";
-             time = req_number fields "time";
-             msg_id = req_int fields "msg_id";
-             label = req_string fields "label";
+             node = req_int j "node";
+             time = req_number j "time";
+             msg_id = req_int j "msg_id";
+             label = req_string j "label";
            })
   | "drop" ->
       Some
         (Trace.Drop
            {
-             node = req_int fields "node";
-             time = req_number fields "time";
-             reason = req_string fields "reason";
+             node = req_int j "node";
+             time = req_number j "time";
+             reason = req_string j "reason";
            })
   | "link_change" ->
       Some
         (Trace.Link_change
            {
-             u = req_int fields "u";
-             v = req_int fields "v";
-             up = req_bool fields "up";
-             time = req_number fields "time";
+             u = req_int j "u";
+             v = req_int j "v";
+             up = req_bool j "up";
+             time = req_number j "time";
            })
   | "custom" ->
       Some
         (Trace.Custom
            {
-             time = req_number fields "time";
-             label = req_string fields "label";
+             time = req_number j "time";
+             label = req_string j "label";
            })
   | _ -> None
 
-let classify fields =
-  match string_field fields "type" with
-  | None -> bad "record has no \"type\" field"
-  | Some "header" ->
-      let sv = req_int fields "schema_version" in
-      if sv > Trace_export.schema_version then
-        bad "stream schema_version %d is newer than this reader (%d)" sv
-          Trace_export.schema_version;
-      let kind = req_string fields "kind" in
-      let fields =
-        List.filter
-          (fun (k, _) ->
-            k <> "type" && k <> "schema_version" && k <> "kind")
-          fields
-      in
-      Header { schema_version = sv; kind; fields }
-  | Some "truncated" ->
-      Truncated
-        {
-          time = req_number fields "time";
-          dropped = req_int fields "dropped";
-          dropped_ring = req_int fields "dropped_ring";
-          dropped_sink = req_int fields "dropped_sink";
-        }
-  | Some kind -> (
-      match event_of_record kind fields with
-      | Some e -> Event e
-      | None -> Other { kind; fields })
+let is_scalar = function Json.Arr _ | Json.Obj _ -> false | _ -> true
+
+let classify = function
+  | Json.Obj fields as j -> (
+      if not (List.for_all (fun (_, v) -> is_scalar v) fields) then
+        bad "nested values are not part of the schema-v2 vocabulary";
+      match List.assoc_opt "type" fields with
+      | Some (Json.Str "header") ->
+          let sv = req_int j "schema_version" in
+          if sv > Trace_export.schema_version then
+            bad "stream schema_version %d is newer than this reader (%d)" sv
+              Trace_export.schema_version;
+          let kind = req_string j "kind" in
+          let fields =
+            List.filter
+              (fun (k, _) ->
+                k <> "type" && k <> "schema_version" && k <> "kind")
+              fields
+          in
+          Header { schema_version = sv; kind; fields }
+      | Some (Json.Str "truncated") ->
+          Truncated
+            {
+              time = req_number j "time";
+              dropped = req_int j "dropped";
+              dropped_ring = req_int j "dropped_ring";
+              dropped_sink = req_int j "dropped_sink";
+            }
+      | Some (Json.Str kind) -> (
+          match event_of_record kind j with
+          | Some e -> Event e
+          | None -> Other { kind; fields })
+      | _ -> bad "record has no string \"type\" field")
+  | _ -> bad "a record must be a JSON object"
 
 let parse_line s =
-  match classify (parse_record_exn s) with
-  | l -> Ok l
-  | exception Bad msg -> Error msg
+  match Json.parse s with
+  | Error msg -> Error msg
+  | Ok j -> ( match classify j with l -> Ok l | exception Bad msg -> Error msg)
 
 (* -- files -------------------------------------------------------------- *)
 

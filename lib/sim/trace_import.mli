@@ -13,30 +13,25 @@
     Reading is streaming: {!fold_file} keeps one line resident, so a
     10^6-event stream is analysed in O(longest line) memory. *)
 
-type value = String of string | Number of float | Bool of bool | Null
-
-type record = (string * value) list
-(** Fields of one flat object, in source order, ["type"] included. *)
-
 type line =
-  | Header of { schema_version : int; kind : string; fields : record }
+  | Header of { schema_version : int; kind : string;
+                fields : (string * Json.t) list }
       (** a {!Trace_export.stream_header} line; [fields] carries the
           extra metadata (scenario, n, seed, ...) minus the three
           fixed keys *)
   | Event of Trace.event
   | Truncated of { time : float; dropped : int; dropped_ring : int;
                    dropped_sink : int }
-  | Other of { kind : string; fields : record }
+  | Other of { kind : string; fields : (string * Json.t) list }
       (** any other record type (chaos heartbeat progress, shrink
           telemetry, ...); [kind] is the ["type"] field *)
 
-val parse_record : string -> (record, string) result
-(** Parse one line as a flat JSON object.  Nested arrays or objects
-    are rejected: nothing in the schema-v2 vocabulary emits them. *)
-
 val parse_line : string -> (line, string) result
-(** Classify one line.  Blank lines are an error (the writers never
-    emit them); callers that tolerate them should skip before. *)
+(** Parse one line with {!Json.parse} and classify it.  The line must
+    be a flat JSON object (nested arrays or objects are rejected:
+    nothing in the schema-v2 vocabulary emits them) with a string
+    ["type"] field.  Blank lines are an error (the writers never emit
+    them); callers that tolerate them should skip before. *)
 
 val fold_file :
   string -> init:'a -> f:('a -> lineno:int -> line -> 'a) -> ('a, string) result
@@ -48,7 +43,3 @@ val events_of_file : string -> (Trace.event list, string) result
 (** Just the events, in file order — headers, truncation and other
     records skipped.  Materialises the list; for large streams prefer
     {!fold_file}. *)
-
-val number : record -> string -> float option
-val int_field : record -> string -> int option
-val string_field : record -> string -> string option

@@ -221,6 +221,31 @@ let test_small_soak_green () =
       check_int (Sweep.scenario_name scenario) 0 (R.failures soak))
     Sweep.all_scenarios
 
+(* Pinned soak schedules (n=64) that once failed.  Election seed 3 #15:
+   a victim's capture return was lost in a partition after it had
+   re-parented, and a later tour climbed into a domain that never
+   recorded it (Inout.route raised).  Flood seed 1000015 #21: the root
+   re-forwarded its own broadcast on the first echo, so a degree-2
+   neighbour got three copies (flood-degree-bound). *)
+let check_pinned ~liveness scenario ~seed ~index =
+  let s =
+    (if liveness then Sch.generate_healing else Sch.generate)
+      ~n:64 ~seed ~index ()
+  in
+  let v = R.run_schedule ~liveness scenario s in
+  List.iter
+    (fun (r : Hardware.Monitor.report) ->
+      check_bool (r.monitor ^ ": " ^ r.detail) true r.ok)
+    v.R.oracles;
+  check_bool "verdict ok" true v.R.ok
+
+let test_pinned_election_capture_lost () =
+  check_pinned ~liveness:false Sweep.Election ~seed:3 ~index:15;
+  check_pinned ~liveness:true Sweep.Election ~seed:3 ~index:15
+
+let test_pinned_flood_root_echo () =
+  check_pinned ~liveness:false Sweep.Flood ~seed:1000015 ~index:21
+
 (* -- first-divergence localisation ------------------------------------- *)
 
 let contains hay needle =
@@ -340,6 +365,10 @@ let suite =
     Alcotest.test_case "planted bug detected" `Quick test_planted_bug_detected;
     Alcotest.test_case "planted bug shrinks" `Quick test_planted_bug_shrinks_small;
     Alcotest.test_case "small soak green" `Quick test_small_soak_green;
+    Alcotest.test_case "pinned election capture lost" `Quick
+      test_pinned_election_capture_lost;
+    Alcotest.test_case "pinned flood root echo" `Quick
+      test_pinned_flood_root_echo;
     Alcotest.test_case "baseline divergence localises fault" `Quick
       test_baseline_divergence_localises_fault;
     Alcotest.test_case "baseline divergence deterministic" `Quick

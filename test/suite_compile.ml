@@ -65,37 +65,25 @@ let test_sweep_replica_matches_sweep_streams () =
 let test_routes_compiled_once () =
   Cache.clear ();
   let art = Cache.random_connected ~seed:5 ~n:32 ~extra_edges:16 in
-  match (Topology.routes art ~chaos:None, Topology.routes art ~chaos:None) with
-  | Some r1, Some r2 -> check_bool "one compiled table" true (r1 == r2)
-  | _ -> Alcotest.fail "routes must be available without a fault plan"
+  check_bool "one compiled table" true
+    (Topology.routes art == Topology.routes art)
 
-let test_armed_plan_invalidates_routes () =
-  Cache.clear ();
-  let art = Cache.random_connected ~seed:5 ~n:32 ~extra_edges:16 in
-  let plan =
-    [ Hardware.Fault_plan.Link_set { at = 0.0; u = 0; v = 1; up = false } ]
-  in
-  check_bool "armed plan yields no compiled routes" true
-    (Topology.routes art ~chaos:(Some plan) = None);
-  (* dropping the plan restores the (already compiled) table *)
-  check_bool "unarmed again" true (Topology.routes art ~chaos:None <> None)
-
-let test_run_drops_routes_under_chaos () =
-  (* belt and braces at the algorithm layer: even if a caller smuggles
-     a compiled table past the cache, Branching_paths.run ignores it
-     whenever a fault plan is armed, so the run is identical to the
-     route-free one *)
+let test_chaos_run_routes_parity () =
+  (* compiled headers name the static graph's link indices, so under
+     an armed fault plan they are the same packets a walk builds at
+     send time: the run is identical to the route-free one *)
   Cache.clear ();
   let art = Cache.random_connected ~seed:9 ~n:24 ~extra_edges:12 in
   let g = Topology.graph art in
-  let routes = Topology.routes art ~chaos:None in
   let plan =
     [ Hardware.Fault_plan.Link_set { at = 0.0; u = 0; v = 1; up = false } ]
   in
   let config = { (Core.Broadcast.default_config ()) with chaos = Some plan } in
-  let with_routes = BP.run ~config ?routes ~graph:g ~root:0 () in
+  let with_routes =
+    BP.run ~config ~routes:(Topology.routes art) ~graph:g ~root:0 ()
+  in
   let without = BP.run ~config ~graph:g ~root:0 () in
-  check_bool "chaos run ignores compiled routes" true (with_routes = without)
+  check_bool "chaos run with compiled routes" true (with_routes = without)
 
 (* The regression the invalidation rule exists for.  A compiled route
    table is only sound as long as it is *the* decomposition of the
@@ -109,11 +97,7 @@ let test_stale_routes_violate_at_most_once () =
   let n = 6 in
   let art = Cache.complete ~n in
   let g = Topology.graph art in
-  let fresh =
-    match Topology.routes art ~chaos:None with
-    | Some r -> r
-    | None -> Alcotest.fail "routes must compile"
-  in
+  let fresh = Topology.routes art in
   (* a stale epoch: the path 0-1-2-...-5 is also a spanning tree of the
      complete graph; its single chain covers every node *)
   let stale_tree =
@@ -149,7 +133,7 @@ let test_precomputed_routes_parity () =
   let plain = BP.run ~graph:g ~root:0 () in
   let fast =
     BP.run ~precomputed:(Topology.labelling art)
-      ?routes:(Topology.routes art ~chaos:None) ~graph:g ~root:0 ()
+      ~routes:(Topology.routes art) ~graph:g ~root:0 ()
   in
   check_bool "identical results" true (plain = fast)
 
@@ -196,10 +180,8 @@ let suite =
     Alcotest.test_case "sweep replica streams" `Quick
       test_sweep_replica_matches_sweep_streams;
     Alcotest.test_case "routes compiled once" `Quick test_routes_compiled_once;
-    Alcotest.test_case "fault plan invalidates routes" `Quick
-      test_armed_plan_invalidates_routes;
-    Alcotest.test_case "chaos run ignores routes" `Quick
-      test_run_drops_routes_under_chaos;
+    Alcotest.test_case "chaos run routes parity" `Quick
+      test_chaos_run_routes_parity;
     Alcotest.test_case "stale routes violate at-most-once" `Quick
       test_stale_routes_violate_at_most_once;
     Alcotest.test_case "precomputed parity" `Quick

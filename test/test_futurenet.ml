@@ -10,6 +10,7 @@ let () =
       ("sim.sink", Suite_sink.suite);
       ("sim.trace", Suite_trace.suite);
       ("sim.trace_export", Suite_trace_export.suite);
+      ("sim.json", Suite_json.suite);
       ("graph.graph", Suite_graph.suite);
       ("graph.tree", Suite_tree.suite);
       ("graph.traversal", Suite_traversal.suite);
