@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-json bench-check bench-parallel bench-scale bench-million bench-obs chaos chaos-smoke chaos-liveness query-smoke experiments figures examples clean
+.PHONY: all build test bench bench-smoke bench-json bench-check bench-parallel bench-scale bench-million bench-obs chaos chaos-smoke chaos-liveness query-smoke perfbench-smoke experiments figures examples clean
 
 all: build
 
@@ -119,6 +119,20 @@ query-smoke:
 	dune exec bin/futurenet_cli.exe -- trace -t random -n 4096 --monitors warn --stream _artifacts/query-smoke-4096-again.jsonl
 	dune exec bin/futurenet_cli.exe -- diff _artifacts/query-smoke-4096.jsonl _artifacts/query-smoke-4096-again.jsonl > _artifacts/query-diff-report.txt
 	cat _artifacts/query-smoke-report.txt _artifacts/query-diff-report.txt
+
+# Benchmark output checks (perfbench/README.md): a one-second run of
+# each BENCHMARK.json workload — three iterations, the minimum — must
+# end with a result line saying "correct": true, i.e. every check the
+# benchmark makes on its own outputs passed.  run.py prints no result
+# line when the build or the run fails, so that fails here too.
+PERFBENCH_WORKLOADS = bcast-large elect-maint chaos-soak trace-query
+
+perfbench-smoke:
+	for w in $(PERFBENCH_WORKLOADS); do \
+	  line=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+	  echo "$$w: $$line"; \
+	  case "$$line" in *'"correct": true'*) ;; *) echo "perfbench-smoke: $$w failed"; exit 1;; esac; \
+	done
 
 experiments:
 	dune exec bench/main.exe -- all

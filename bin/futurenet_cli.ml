@@ -75,8 +75,33 @@ let topology_arg =
   Arg.(value & opt topology_conv `Random
          & info [ "t"; "topology" ] ~docv:"FAMILY" ~doc)
 
+(* Counts (-n, -r, -k) below [lo] are usage errors (exit 124), caught
+   here rather than as exceptions from deep inside a run. *)
+let at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some v when v >= lo -> Ok v
+    | _ ->
+        Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let n_arg =
-  Arg.(value & opt int 32 & info [ "n" ] ~docv:"N" ~doc:"Number of nodes.")
+  Arg.(value & opt (at_least 1) 32
+         & info [ "n" ] ~docv:"N" ~doc:"Number of nodes.")
+
+let root_arg =
+  Arg.(value & opt int 0 & info [ "root" ] ~docv:"NODE" ~doc:"Broadcaster.")
+
+(* --root must name a node of the graph actually built (grid and
+   friends round n up), so it is checked after the build *)
+let check_root graph root =
+  let n = Netgraph.Graph.n graph in
+  if root < 0 || root >= n then begin
+    Printf.eprintf "futurenet: --root %d is not a node of the %d-node graph\n"
+      root n;
+    exit Cmd.Exit.cli_error
+  end
 
 let seed_arg =
   Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -202,12 +227,10 @@ let broadcast_cmd =
                ~doc:"$(b,bpaths), $(b,flood), $(b,dfs), $(b,direct) or \
                      $(b,layered).")
   in
-  let root_arg =
-    Arg.(value & opt int 0 & info [ "root" ] ~docv:"NODE" ~doc:"Broadcaster.")
-  in
   let run topology n seed algo root recover json =
     let art = build_artifact topology n seed in
     let graph = Compile.Topology.graph art in
+    check_root graph root;
     let precomputed, routes =
       match algo with
       | `Bpaths -> bpaths_precomputed art ~root
@@ -335,9 +358,6 @@ let trace_cmd =
                ~doc:"Paper-bound monitors: $(b,off), $(b,warn) (print \
                      violations) or $(b,fail) (non-zero exit on violation).")
   in
-  let root_arg =
-    Arg.(value & opt int 0 & info [ "root" ] ~docv:"NODE" ~doc:"Broadcaster.")
-  in
   let stream_arg =
     Arg.(value & opt (some string) None
            & info [ "stream" ] ~docv:"FILE"
@@ -358,6 +378,7 @@ let trace_cmd =
   let run topology n seed scenario root out mode stream =
     let art = build_artifact topology n seed in
     let graph = Compile.Topology.graph art in
+    check_root graph root;
     let n = Netgraph.Graph.n graph in
     let sink =
       match stream with
@@ -524,9 +545,6 @@ let profile_cmd =
     Arg.(value & opt float 1.0
            & info [ "p" ] ~docv:"P" ~doc:"Per-system-call processing delay bound.")
   in
-  let root_arg =
-    Arg.(value & opt int 0 & info [ "root" ] ~docv:"NODE" ~doc:"Broadcaster.")
-  in
   let out_arg =
     Arg.(value & opt string "profile"
            & info [ "o"; "out" ] ~docv:"PREFIX"
@@ -541,6 +559,7 @@ let profile_cmd =
   let run topology n seed scenario root c p out json =
     let art = build_artifact topology n seed in
     let graph = Compile.Topology.graph art in
+    check_root graph root;
     let n = Netgraph.Graph.n graph in
     let cost = Hardware.Cost_model.deterministic ~c ~p in
     let trace = Sim.Trace.create () in
@@ -643,7 +662,7 @@ let bench_cmd =
                      $(b,maintenance).")
   in
   let replicas_arg =
-    Arg.(value & opt int 8
+    Arg.(value & opt (at_least 1) 8
            & info [ "r"; "replicas" ] ~docv:"R"
                ~doc:"Independent replicas to run (each on its own \
                      seed-derived random graph).")
@@ -708,11 +727,13 @@ let chaos_cmd =
                      $(b,dfs), $(b,direct), $(b,layered), $(b,election), \
                      $(b,maintenance)) or $(b,all).")
   in
+  (* a fault schedule needs a link to break *)
   let chaos_n_arg =
-    Arg.(value & opt int 64 & info [ "n" ] ~docv:"N" ~doc:"Number of nodes.")
+    Arg.(value & opt (at_least 2) 64
+           & info [ "n" ] ~docv:"N" ~doc:"Number of nodes (at least 2).")
   in
   let schedules_arg =
-    Arg.(value & opt int 32
+    Arg.(value & opt (at_least 1) 32
            & info [ "k"; "schedules" ] ~docv:"K"
                ~doc:"Seeded fault schedules per scenario (indices 0..K-1); \
                      every schedule replays from (seed, index) alone.")

@@ -67,10 +67,10 @@ let labelling_u t =
 
 let compile_routes labelling graph =
   Array.init (Graph.n graph) (fun v ->
-      Array.of_list
-        (List.map
-           (fun path -> Anr.compile_walk ~copy_at:(fun _ -> true) graph path)
-           (Labels.paths_from labelling v)))
+      Array.map
+        (fun path ->
+          Anr.compile_walk ~copy_at:(fun _ -> true) graph (Array.of_list path))
+        (Array.of_list (Labels.paths_from labelling v)))
 
 let routes_u t =
   match t.routes with

@@ -24,22 +24,22 @@ let publish_paths ctx k =
     | _ -> ()
 
 (* The sends leaving one head: over pre-compiled routes when a route
-   table is supplied, else walk-built headers — the compiled route of a
-   path is exactly the header [send_walk] would build, so both arms
-   produce the same packets. *)
+   table is supplied, else walks compiled per send — the table holds
+   exactly the routes [send_walk] would compile, so both arms produce
+   the same packets. *)
 let sends_for ctx ~routes labelling m =
   let self = Network.self ctx in
   match routes with
   | Some table ->
       Array.to_list
         (Array.map
-           (fun route () -> Network.send_compiled ~label:"bpaths" ctx ~route m)
+           (fun route () -> Network.send ~label:"bpaths" ctx ~route m)
            table.(self))
   | None ->
       List.map
         (fun path () ->
           Network.send_walk ~label:"bpaths" ~copy_at:(fun _ -> true) ctx
-            ~walk:path m)
+            ~walk:(Array.of_list path) m)
         (Labels.paths_from labelling self)
 
 let send_paths ~multicast ctx sends =

@@ -130,8 +130,13 @@ module Recovery = struct
   let ack_walk tree v =
     if not (Netgraph.Tree.mem tree v) then None
     else
-      match List.rev (Netgraph.Tree.path_from_root tree v) with
-      | _ :: _ :: _ as walk -> Some walk
+      match Netgraph.Tree.path_from_root tree v with
+      | _ :: _ :: _ as path ->
+          (* filled back to front: the walk runs from [v] up to the root *)
+          let len = List.length path in
+          let walk = Array.make len v in
+          List.iteri (fun i u -> walk.(len - 1 - i) <- u) path;
+          Some walk
       | _ -> None
 end
 
@@ -164,7 +169,7 @@ let execute ~config ~graph ~root ~spec () =
   | Sim.Engine.Time_limit | Sim.Engine.Event_limit ->
       (* unreachable: no horizon/budget given *)
       assert false);
-  Network.publish_distributions net;
+  Network.publish net;
   let m = Network.metrics net in
   (* completion = the last NCU activation finishing; taken from the
      network's busy-until marks so it holds with tracing off or

@@ -81,7 +81,7 @@ module Recovery : sig
       number (1-based) and re-arms under capped exponential backoff;
       an exhausted budget counts one [recover.give_ups] and stops. *)
 
-  val ack_walk : Netgraph.Tree.t -> int -> int list option
+  val ack_walk : Netgraph.Tree.t -> int -> int array option
   (** The walk from a member node up the broadcast tree to its root
       ([None] at the root itself or off-tree). *)
 end

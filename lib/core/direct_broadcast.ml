@@ -46,7 +46,8 @@ let spec ~reached ~view v =
                 match group with
                 | [] -> None
                 | walk :: rest ->
-                    Network.send_walk ~label:"direct" ctx ~walk m;
+                    Network.send_walk ~label:"direct" ctx
+                      ~walk:(Array.of_list walk) m;
                     if rest = [] then None else Some rest)
               !groups
           in

@@ -157,7 +157,7 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
   let send ctx ~label walk m =
     max_route := max !max_route (Array.length walk - 1);
     obs_route (Array.length walk - 1);
-    Network.send_walk_arr ~label ctx ~walk m
+    Network.send_walk ~label ctx ~walk m
   in
 
   (* Route from [v] (currently holding the token) back to the token's
@@ -355,7 +355,8 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
     | tour ->
         let marked = Walks.mark_first_visits tour in
         let route =
-          Anr.of_walk_marked (Network.graph (Network.network ctx)) marked
+          Anr.compile
+            (Anr.of_walk_marked (Network.graph (Network.network ctx)) marked)
         in
         Network.send ~label:"announce" ctx ~route
           (Announce { leader = v; aepoch = epoch_of v })
@@ -552,7 +553,7 @@ let run_core ?(cost = Hardware.Cost_model.new_model ()) ?starters ?rng
   (match Sim.Engine.run engine with
   | Sim.Engine.Quiescent -> ()
   | Sim.Engine.Time_limit | Sim.Engine.Event_limit -> assert false);
-  Network.publish_distributions net;
+  Network.publish net;
   (roles, believed_leader, net, engine, !tours, !captures, !max_route)
 
 let run ?cost ?starters ?rng ?notify_supporters ?recover ?trace ?registry

@@ -14,7 +14,7 @@ let forward ctx ~except m =
   Network.iter_active_neighbors net self (fun peer ->
       if Some peer <> except then begin
         incr forwarded;
-        Network.send_walk ~label:"flood" ctx ~walk:[ self; peer ] m
+        Network.send_walk ~label:"flood" ctx ~walk:[| self; peer |] m
       end);
   if !forwarded > 0 then
     match Network.registry (Network.network ctx) with

@@ -47,7 +47,8 @@ let spec ~reached ~view v =
         | tour ->
             let marked = Walks.mark_first_visits tour in
             let route =
-              Anr.of_walk_marked (Network.graph (Network.network ctx)) marked
+              Anr.compile
+                (Anr.of_walk_marked (Network.graph (Network.network ctx)) marked)
             in
             Network.send ~label:"layered-token" ctx ~route { origin = root });
     on_message = (fun _ ~via:_ _ -> reached.(v) <- true);

@@ -215,7 +215,7 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
       if Bytes.get st.local_up (i - 1) = '\001' then begin
         let peer = Graph.edge_target graph (Graph.edge_id graph v i) in
         if Some peer <> except then
-          Network.send_walk ~label ctx ~walk:[ v; peer ] m
+          Network.send_walk ~label ctx ~walk:[| v; peer |] m
       end
     done
   in
@@ -244,7 +244,7 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
         List.iter
           (fun path ->
             Network.send_walk ~label:"topo-bpaths" ~copy_at:(fun _ -> true) ctx
-              ~walk:path m)
+              ~walk:(Array.of_list path) m)
           (Labels.paths_from labelling v)
     | Dfs_token -> (
         let tree = Netgraph.Spanning.bfs_tree believed ~root:v in
@@ -259,7 +259,8 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
             let m = { origin = v; seq = st.seq; views; labelling = None } in
             let marked = Walks.mark_first_visits tour in
             let route =
-              Anr.of_walk_marked (Network.graph (Network.network ctx)) marked
+              Anr.compile
+                (Anr.of_walk_marked (Network.graph (Network.network ctx)) marked)
             in
             Network.send ~label:"topo-dfs" ctx ~route m)
   in
@@ -328,7 +329,8 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
                       List.iter
                         (fun path ->
                           Network.send_walk ~label:"topo-bpaths"
-                            ~copy_at:(fun _ -> true) ctx ~walk:path m)
+                            ~copy_at:(fun _ -> true) ctx
+                            ~walk:(Array.of_list path) m)
                         (Labels.paths_from labelling v)));
       on_link_change =
         (fun _ctx ~peer ~up ->
@@ -436,7 +438,7 @@ let run ?(params = default_params ()) ?(node_events = []) ?chaos ~graph
     else rounds_loop (k + 1) progress
   in
   let converged, rounds, progress = rounds_loop 1 [] in
-  Network.publish_distributions net;
+  Network.publish net;
   (match params.registry with
   | Some r when Hardware.Registry.enabled r ->
       Hardware.Registry.set

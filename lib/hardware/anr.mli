@@ -59,7 +59,7 @@ val length : t -> int
 
     The list form is the construction/inspection API; the switching
     fabric consumes a {!route}: the same elements packed into one
-    immutable int array, compiled once per {!Network.send} and then
+    immutable int array, compiled before {!Network.send} and then
     advanced by an integer cursor at every hop, so forwarding a packet
     allocates nothing. *)
 
@@ -81,22 +81,12 @@ val route_elem : route -> int -> elem
 (** The element at a cursor position, re-materialised (testing aid). *)
 
 val compile_walk :
-  ?copy_at:(int -> bool) -> Netgraph.Graph.t -> int list -> route
-(** [compile_walk g walk] is [compile (of_walk ?copy_at g walk)]
-    without the intermediate list — for compiling route tables ahead
-    of time (see {!Network.send_compiled}). *)
-
-val compile_walk_arr :
   ?copy_at:(int -> bool) -> Netgraph.Graph.t -> int array -> route
-(** {!compile_walk} over an int-array walk — the form the election's
-    array-based route bookkeeping produces — so building the route
-    allocates nothing beyond the result. *)
-
-val concat : t -> t -> t
-(** [concat a b] splices two headers: [a]'s terminating NCU element is
-    dropped and [b] is appended, so a packet follows [a]'s walk and
-    continues with [b] from [a]'s last node.  [a] must end with the
-    plain NCU element. *)
+(** [compile_walk g walk] is [compile (of_walk ?copy_at g (Array.to_list
+    walk))] without the intermediate lists — for compiling route tables
+    ahead of time and for per-send walks (see {!Network.send_walk}).
+    @raise Invalid_argument if consecutive walk nodes are not adjacent
+    or the walk is empty. *)
 
 val walk_of : Netgraph.Graph.t -> src:int -> t -> int list
 (** [walk_of g ~src t] replays the header from [src] and returns the

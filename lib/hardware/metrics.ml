@@ -4,6 +4,7 @@ type t = {
   mutable syscalls : int;
   mutable sends : int;
   mutable drops : int;
+  mutable dropped_in_flight : int;
   mutable max_header : int;
   per_node : int array;
   (* int refs so the steady-state increment is [incr], not a
@@ -18,6 +19,7 @@ let create ~n =
     syscalls = 0;
     sends = 0;
     drops = 0;
+    dropped_in_flight = 0;
     max_header = 0;
     per_node = Array.make n 0;
     by_label = Hashtbl.create 8;
@@ -28,6 +30,7 @@ let hops t = t.hops
 let syscalls t = t.syscalls
 let sends t = t.sends
 let drops t = t.drops
+let dropped_in_flight t = t.dropped_in_flight
 let syscalls_at t v = t.per_node.(v)
 
 let syscalls_labelled t label =
@@ -39,9 +42,10 @@ let record_hop t = t.hops <- t.hops + 1
 let record_syscall t ~node ~label =
   t.syscalls <- t.syscalls + 1;
   t.per_node.(node) <- t.per_node.(node) + 1;
-  match Hashtbl.find_opt t.by_label label with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.by_label label (ref 1)
+  (* [find] rather than [find_opt]: no [Some] box per system call *)
+  match Hashtbl.find t.by_label label with
+  | r -> incr r
+  | exception Not_found -> Hashtbl.add t.by_label label (ref 1)
 
 let record_send t ~header_len =
   t.sends <- t.sends + 1;
@@ -49,62 +53,5 @@ let record_send t ~header_len =
 
 let record_drop t = t.drops <- t.drops + 1
 
-let copy_labels by_label =
-  let fresh = Hashtbl.create (Hashtbl.length by_label) in
-  Hashtbl.iter (fun label r -> Hashtbl.replace fresh label (ref !r)) by_label;
-  fresh
-
-let snapshot t =
-  {
-    size = t.size;
-    hops = t.hops;
-    syscalls = t.syscalls;
-    sends = t.sends;
-    drops = t.drops;
-    max_header = t.max_header;
-    per_node = Array.copy t.per_node;
-    by_label = copy_labels t.by_label;
-  }
-
-let diff later earlier =
-  if later.size <> earlier.size then invalid_arg "Metrics.diff: size mismatch";
-  let by_label = copy_labels later.by_label in
-  Hashtbl.iter
-    (fun label count ->
-      match Hashtbl.find_opt by_label label with
-      | Some r -> r := !r - !count
-      | None -> Hashtbl.replace by_label label (ref (- !count)))
-    earlier.by_label;
-  {
-    size = later.size;
-    hops = later.hops - earlier.hops;
-    syscalls = later.syscalls - earlier.syscalls;
-    sends = later.sends - earlier.sends;
-    drops = later.drops - earlier.drops;
-    (* max_header only ever grows, so if [later] exceeds [earlier] the
-       interval provably witnessed exactly that maximum; otherwise the
-       interval set no new maximum and 0 is the honest answer — the old
-       behaviour reported [later.max_header] even for an empty interval *)
-    max_header =
-      (if later.max_header > earlier.max_header then later.max_header else 0);
-    per_node = Array.init later.size (fun i -> later.per_node.(i) - earlier.per_node.(i));
-    by_label;
-  }
-
-let pp ?(by_label = false) ?(per_node = false) ppf t =
-  Format.fprintf ppf "hops=%d syscalls=%d sends=%d drops=%d max_header=%d"
-    t.hops t.syscalls t.sends t.drops t.max_header;
-  if by_label then begin
-    let labels =
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun l r acc -> (l, !r) :: acc) t.by_label [])
-    in
-    List.iter
-      (fun (label, count) -> Format.fprintf ppf "@ %s=%d" label count)
-      labels
-  end;
-  if per_node then
-    Array.iteri
-      (fun v c -> if c <> 0 then Format.fprintf ppf "@ node%d=%d" v c)
-      t.per_node
+let record_dropped_in_flight t =
+  t.dropped_in_flight <- t.dropped_in_flight + 1

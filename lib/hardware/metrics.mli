@@ -6,8 +6,9 @@
     - {e system-call complexity}: total number of NCU activations
       (the new measure, capturing software cost, Section 2).
 
-    Counters can be snapshotted and diffed to attribute costs to
-    phases of an algorithm. *)
+    These are the network's only event counters: an attached
+    {!Registry} receives them once, at the end of a run, through
+    {!Network.publish}. *)
 
 type t
 
@@ -22,7 +23,12 @@ val sends : t -> int
     source route).  Free in the cost model; reported for insight. *)
 
 val drops : t -> int
-(** Packets that died (inactive link, malformed header). *)
+(** Packets that died (inactive link, malformed header, lost in
+    flight). *)
+
+val dropped_in_flight : t -> int
+(** The part of {!drops} lost mid-link: packets committed to a link
+    that failed (or glitched) before they arrived. *)
 
 val syscalls_at : t -> int -> int
 (** Per-node NCU activations. *)
@@ -39,18 +45,6 @@ val record_syscall : t -> node:int -> label:string -> unit
 val record_send : t -> header_len:int -> unit
 val record_drop : t -> unit
 
-val snapshot : t -> t
-(** An independent copy of the current counters. *)
-
-val diff : t -> t -> t
-(** [diff later earlier] subtracts counters; per-node and per-label
-    counts are subtracted pointwise.  [max_header] is not a counter:
-    since it only grows, the result's [max_header] is [later]'s value
-    when the interval set a new maximum, and [0] otherwise (meaning
-    "no new maximum in this interval" — the interval's true maximum is
-    unobservable from two snapshots). *)
-
-val pp : ?by_label:bool -> ?per_node:bool -> Format.formatter -> t -> unit
-(** One line of [key=value] pairs.  [by_label] appends per-label
-    system-call counts (sorted by label); [per_node] appends the
-    non-zero per-node counts.  Both default to [false]. *)
+val record_dropped_in_flight : t -> unit
+(** Count one in-flight loss; the caller also records it as a drop
+    with {!record_drop}. *)

@@ -11,15 +11,12 @@ type link_record = { mutable up : bool; mutable epoch : int }
      directed link, enforcing per-direction FIFO order.
    A packet in flight is a compiled {!Anr.route} plus an int cursor;
    forwarding it allocates nothing beyond the scheduled closure. *)
-(* Pre-registered registry handles: one option match on the hot path,
-   no name lookups per event, nothing at all when no registry is
-   attached (the zero-allocation disabled path of DESIGN.md §7). *)
+(* Pre-registered registry histograms: one option match on the hot
+   path, no name lookups per event, nothing at all when no registry is
+   attached (the zero-allocation disabled path of DESIGN.md §7).  The
+   event counters live in [Metrics] alone and reach the registry once,
+   in [publish]. *)
 type obs = {
-  o_hops : Registry.counter;
-  o_syscalls : Registry.counter;
-  o_sends : Registry.counter;
-  o_drops : Registry.counter;
-  o_dropped_in_flight : Registry.counter;
   o_hop_latency : Registry.histogram;
   o_header_len : Registry.histogram;
 }
@@ -71,13 +68,6 @@ let make_obs registry =
   | Some r when Registry.enabled r ->
       Some
         {
-          o_hops = Registry.counter r "net.hops" ~help:"packets through switches";
-          o_syscalls = Registry.counter r "net.syscalls" ~help:"NCU activations";
-          o_sends = Registry.counter r "net.sends" ~help:"packet injections";
-          o_drops = Registry.counter r "net.drops" ~help:"packets that died";
-          o_dropped_in_flight =
-            Registry.counter r "net.dropped_in_flight"
-              ~help:"packets lost mid-link when the link failed under them";
           o_hop_latency =
             Registry.histogram r "net.hop_latency"
               ~help:"per-hop delay incl. FIFO queueing"
@@ -126,12 +116,20 @@ let trace t = t.trace
 let tracing t = Sim.Trace.enabled t.trace
 let registry t = t.registry
 
-let obs_drop t =
-  match t.obs with Some o -> Registry.incr o.o_drops | None -> ()
-
-let publish_distributions t =
+let publish t =
   match t.registry with
   | Some r when Registry.enabled r ->
+      let m = t.metrics in
+      let count name help value =
+        Registry.add (Registry.counter r name ~help) value
+      in
+      count "net.hops" "packets through switches" (Metrics.hops m);
+      count "net.syscalls" "NCU activations" (Metrics.syscalls m);
+      count "net.sends" "packet injections" (Metrics.sends m);
+      count "net.drops" "packets that died" (Metrics.drops m);
+      count "net.dropped_in_flight"
+        "packets lost mid-link when the link failed under them"
+        (Metrics.dropped_in_flight m);
       let h =
         Registry.histogram r "net.syscalls_per_node"
           ~help:"NCU activations per node over the run"
@@ -139,7 +137,7 @@ let publish_distributions t =
       in
       Graph.iter_nodes
         (fun v ->
-          Registry.observe h (float_of_int (Metrics.syscalls_at t.metrics v)))
+          Registry.observe h (float_of_int (Metrics.syscalls_at m v)))
         t.graph;
       (* a trace that lost events silently would make any profile
          computed from it wrong; surface both loss modes as
@@ -181,18 +179,7 @@ let preset_link t u v ~up =
     record.epoch <- record.epoch + 1
   end
 
-let active_neighbors t u =
-  let g = t.graph in
-  let acc = ref [] in
-  for i = Graph.degree g u downto 1 do
-    let e = Graph.edge_id g u i in
-    if t.link_state.(Graph.edge_uid g e).up then
-      acc := Graph.edge_target g e :: !acc
-  done;
-  !acc
-
-(* Allocation-free variants of [active_neighbors] for hot paths:
-   same increasing-peer order, no intermediate list. *)
+(* Allocation-free for hot paths: increasing peer order, no list. *)
 let iter_active_neighbors t u f =
   let g = t.graph in
   let deg = Graph.degree g u in
@@ -200,17 +187,6 @@ let iter_active_neighbors t u f =
     let e = Graph.edge_id g u i in
     if t.link_state.(Graph.edge_uid g e).up then f (Graph.edge_target g e)
   done
-
-let fold_active_neighbors t u f acc =
-  let g = t.graph in
-  let deg = Graph.degree g u in
-  let acc = ref acc in
-  for i = 1 to deg do
-    let e = Graph.edge_id g u i in
-    if t.link_state.(Graph.edge_uid g e).up then
-      acc := f (Graph.edge_target g e) !acc
-  done;
-  !acc
 
 (* -- NCU activations: single-server FIFO queue per node ------------- *)
 
@@ -226,7 +202,6 @@ let activate t v ~label ~msg_id f =
   t.ncu_busy_until.(v) <- finish;
   Sim.Engine.schedule_at t.engine ~time:finish (fun () ->
       Metrics.record_syscall t.metrics ~node:v ~label;
-      (match t.obs with Some o -> Registry.incr o.o_syscalls | None -> ());
       if tracing t then
         Sim.Trace.record t.trace
           (if msg_id >= 0 then
@@ -248,7 +223,6 @@ let deliver_to_ncu t v ~via ~label ~msg_id payload =
    path stays allocation-free. *)
 let drop t ~node reason =
   Metrics.record_drop t.metrics;
-  obs_drop t;
   if tracing t then
     Sim.Trace.record t.trace
       (Sim.Trace.Drop { node; time = Sim.Engine.now t.engine; reason })
@@ -271,7 +245,6 @@ let rec switch t u ~via route cursor ~label ~msg_id payload =
       if copy then deliver_to_ncu t u ~via ~label ~msg_id payload;
       if link > Graph.degree t.graph u then begin
         Metrics.record_drop t.metrics;
-        obs_drop t;
         if tracing t then
           Sim.Trace.record t.trace
             (Sim.Trace.Drop
@@ -287,7 +260,6 @@ let rec switch t u ~via route cursor ~label ~msg_id payload =
         let record = t.link_state.(Graph.edge_uid t.graph dedge) in
         if not record.up then begin
           Metrics.record_drop t.metrics;
-          obs_drop t;
           if tracing t then
             Sim.Trace.record t.trace
               (Sim.Trace.Drop
@@ -307,9 +279,7 @@ let rec switch t u ~via route cursor ~label ~msg_id payload =
           t.fifo.(dedge) <- arrival;
           Metrics.record_hop t.metrics;
           (match t.obs with
-          | Some o ->
-              Registry.incr o.o_hops;
-              Registry.observe o.o_hop_latency (arrival -. now)
+          | Some o -> Registry.observe o.o_hop_latency (arrival -. now)
           | None -> ());
           Sim.Engine.schedule_at t.engine ~time:arrival (fun () ->
               if record.up && record.epoch = epoch then begin
@@ -321,9 +291,7 @@ let rec switch t u ~via route cursor ~label ~msg_id payload =
               else begin
                 (* the silent-discard path: a packet committed to the
                    link before the failure; account for it explicitly *)
-                (match t.obs with
-                | Some o -> Registry.incr o.o_dropped_in_flight
-                | None -> ());
+                Metrics.record_dropped_in_flight t.metrics;
                 drop t ~node:v "lost in flight (link failed)"
               end)
         end
@@ -394,11 +362,11 @@ let self ctx = ctx.node
 let network ctx = ctx.net
 let now ctx = Sim.Engine.now ctx.net.engine
 
-(* Common injection path: [compiled] carries [header_len] elements.
-   [send] compiles the list header here; [send_compiled] skips that —
-   the dmax check, metrics, trace and switching are identical. *)
-let inject ~label ctx ~header_len compiled payload =
+(* The one injection path: the route arrives compiled, so the dmax
+   check, metrics, trace and switching read its elements directly. *)
+let send ?(label = "") ctx ~route payload =
   let t = ctx.net in
+  let header_len = Anr.route_length route in
   let oversized =
     match t.dmax with Some bound -> header_len > bound | None -> false
   in
@@ -409,7 +377,6 @@ let inject ~label ctx ~header_len compiled payload =
   else if oversized then begin
     (* the hardware refuses headers it cannot buffer *)
     Metrics.record_drop t.metrics;
-    obs_drop t;
     if tracing t then
       Sim.Trace.record t.trace
         (Sim.Trace.Drop
@@ -424,35 +391,19 @@ let inject ~label ctx ~header_len compiled payload =
     t.next_msg_id <- msg_id + 1;
     Metrics.record_send t.metrics ~header_len;
     (match t.obs with
-    | Some o ->
-        Registry.incr o.o_sends;
-        Registry.observe o.o_header_len (float_of_int header_len)
+    | Some o -> Registry.observe o.o_header_len (float_of_int header_len)
     | None -> ());
     if tracing t then
       Sim.Trace.record t.trace
         (Sim.Trace.Send
            { node = ctx.node; time = Sim.Engine.now t.engine; msg_id; label });
-    switch t ctx.node ~via:(-1) compiled 0 ~label ~msg_id payload
+    switch t ctx.node ~via:(-1) route 0 ~label ~msg_id payload
   end
 
-let send ?(label = "") ctx ~route payload =
-  inject ~label ctx ~header_len:(Anr.length route) (Anr.compile route) payload
-
-let send_compiled ?(label = "") ctx ~route payload =
-  inject ~label ctx ~header_len:(Anr.route_length route) route payload
-
 let send_walk ?label ?copy_at ctx ~walk payload =
-  (match walk with
-  | first :: _ when first = ctx.node -> ()
-  | _ -> invalid_arg "Network.send_walk: walk must start at the sender");
-  let route = Anr.of_walk ?copy_at ctx.net.graph walk in
-  send ?label ctx ~route payload
-
-let send_walk_arr ?label ?copy_at ctx ~walk payload =
   if Array.length walk = 0 || walk.(0) <> ctx.node then
-    invalid_arg "Network.send_walk_arr: walk must start at the sender";
-  let route = Anr.compile_walk_arr ?copy_at ctx.net.graph walk in
-  send_compiled ?label ctx ~route payload
+    invalid_arg "Network.send_walk: walk must start at the sender";
+  send ?label ctx ~route:(Anr.compile_walk ?copy_at ctx.net.graph walk) payload
 
 let neighbors ctx =
   let t = ctx.net in

@@ -12,7 +12,7 @@
       in FIFO arrival order, each taking one software delay;
     - links are FIFO per direction; an inactive link delivers nothing,
       and packets in flight when a link fails are lost (each such loss
-      is counted in the [net.dropped_in_flight] registry counter);
+      is counted in {!Metrics.dropped_in_flight});
     - a node may inject any number of packets at the same instant at
       no extra processing cost (the PARIS multicast feature used by
       the Section 3 broadcast);
@@ -57,12 +57,11 @@ val create :
     [detection_delay] (default [0.]) is the data-link detection
     latency.
 
-    When [registry] is given (and enabled), the runtime publishes
-    [net.hops] / [net.syscalls] / [net.sends] / [net.drops] /
-    [net.dropped_in_flight] counters and [net.hop_latency] /
-    [net.header_len] histograms into it as the simulation runs,
-    through handles pre-registered here — the disabled path stays
-    allocation-free. *)
+    When [registry] is given (and enabled), the runtime observes the
+    [net.hop_latency] / [net.header_len] histograms into it as the
+    simulation runs, through handles pre-registered here — the
+    disabled path stays allocation-free.  Event counts are kept by
+    {!metrics} alone; {!publish} copies them into the registry. *)
 
 (** {1 Global view (experiment harness side)} *)
 
@@ -76,12 +75,14 @@ val registry : 'msg t -> Registry.t option
 (** The registry handed to {!create}, if any — protocol layers use it
     to publish their own instruments next to the [net.*] family. *)
 
-val publish_distributions : 'msg t -> unit
-(** Fold end-of-run distributions into the registry: the
+val publish : 'msg t -> unit
+(** Fold the run into the registry: the {!metrics} counts are added
+    to the [net.hops] / [net.syscalls] / [net.sends] / [net.drops] /
+    [net.dropped_in_flight] counters, the per-node counts to the
     [net.syscalls_per_node] histogram, plus [sim.trace.dropped_ring] /
     [sim.trace.dropped_sink] counters whenever the trace lost events
-    (the counter's presence is itself the warning).  Call after the
-    simulation has quiesced; no-op without an enabled registry. *)
+    (the counter's presence is itself the warning).  Call once, after
+    the simulation has quiesced; no-op without an enabled registry. *)
 
 val last_activation_time : 'msg t -> float
 (** Completion time of the last NCU activation anywhere in the
@@ -98,7 +99,7 @@ val start_all : ?label:string -> 'msg t -> unit
 val set_link : 'msg t -> int -> int -> up:bool -> unit
 (** Activate or deactivate the (bidirectional) link at the current
     simulation time.  Packets in flight on a failing link are lost
-    (and counted in [net.dropped_in_flight]).  No-op if the link is
+    (and counted in {!Metrics.dropped_in_flight}).  No-op if the link is
     already in the requested state.
     @raise Invalid_argument if the edge does not exist. *)
 
@@ -107,7 +108,7 @@ val drop_in_flight : 'msg t -> int -> int -> unit
     link without changing its up/down state: a physical glitch too
     short for the data-link layer to detect, so no [on_link_change]
     notification is delivered.  Losses are counted as drops and in
-    [net.dropped_in_flight].  Fault-injection primitive used by
+    {!Metrics.dropped_in_flight}.  Fault-injection primitive used by
     {!Fault_plan}.
     @raise Invalid_argument if the edge does not exist. *)
 
@@ -118,17 +119,12 @@ val preset_link : 'msg t -> int -> int -> up:bool -> unit
     @raise Invalid_argument if the edge does not exist. *)
 
 val link_is_up : 'msg t -> int -> int -> bool
-val active_neighbors : 'msg t -> int -> int list
 
 val iter_active_neighbors : 'msg t -> int -> (int -> unit) -> unit
 (** [iter_active_neighbors t u f] applies [f] to each neighbour of [u]
-    whose link is currently up, in increasing peer order — the same
-    sequence as {!active_neighbors} without materialising the list.
-    For hot paths (per-hop relay decisions) that must not allocate. *)
-
-val fold_active_neighbors : 'msg t -> int -> (int -> 'a -> 'a) -> 'a -> 'a
-(** Fold over the currently-up neighbours of a node in increasing peer
-    order; the allocation-free companion of {!iter_active_neighbors}. *)
+    whose link is currently up, in increasing peer order, without
+    materialising a list — for hot paths (per-hop relay decisions)
+    that must not allocate. *)
 
 val fail_node : 'msg t -> int -> unit
 (** An inactive node is modelled by a node all of whose links are
@@ -148,42 +144,23 @@ val self : 'msg context -> int
 val network : 'msg context -> 'msg t
 val now : 'msg context -> float
 
-val send : ?label:string -> 'msg context -> route:Anr.t -> 'msg -> unit
-(** Inject a packet at this node's SS.  Injection itself is free (the
-    NCU is already running); every hop and NCU delivery en route is
-    charged as usual.  Multiple [send]s from one activation model the
-    free local multicast.
-    @raise Invalid_argument if the route exceeds [dmax]. *)
-
-val send_compiled : ?label:string -> 'msg context -> route:Anr.route -> 'msg -> unit
-(** {!send} with a pre-compiled route (e.g. from a compiled-topology
-    artifact), skipping per-send header compilation.  Behaviourally
-    identical to sending the route's list form: same dmax check, same
-    metrics, trace events and switching.
+val send : ?label:string -> 'msg context -> route:Anr.route -> 'msg -> unit
+(** Inject a packet with a compiled header (from {!Anr.compile} or
+    {!Anr.compile_walk}, or a compiled-topology route table) at this
+    node's SS.  Injection itself is free (the NCU is already running);
+    every hop and NCU delivery en route is charged as usual.  Multiple
+    [send]s from one activation model the free local multicast.
     @raise Invalid_argument if the route exceeds [dmax]. *)
 
 val send_walk :
   ?label:string ->
   ?copy_at:(int -> bool) ->
   'msg context ->
-  walk:int list ->
-  'msg ->
-  unit
-(** Convenience: build the header with {!Anr.of_walk} (the walk must
-    begin at this node) and send.
-    @raise Invalid_argument if the walk does not start here. *)
-
-val send_walk_arr :
-  ?label:string ->
-  ?copy_at:(int -> bool) ->
-  'msg context ->
   walk:int array ->
   'msg ->
   unit
-(** {!send_walk} over an int-array walk (compiled directly with
-    {!Anr.compile_walk_arr}); behaviourally identical to sending the
-    same walk as a list — same header length, dmax check, metrics and
-    switching.
+(** Convenience: compile the header with {!Anr.compile_walk} (the walk
+    must begin at this node) and {!send} it.
     @raise Invalid_argument if the walk does not start here. *)
 
 val neighbors : 'msg context -> (int * bool) list

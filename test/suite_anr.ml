@@ -64,17 +64,24 @@ let test_of_walk_marked_first_visits () =
   (* copies at 1 (first visit) and 2... 2's first visit is mid-walk *)
   check_ints "copies" [ 1; 2; 0 ] (A.copy_targets g ~src:0 route)
 
-let test_concat () =
-  let g = B.path 5 in
-  let a = A.of_walk g [ 0; 1; 2 ] in
-  let b = A.of_walk g [ 2; 3; 4 ] in
-  let joined = A.concat a b in
-  check_ints "spliced walk" [ 0; 1; 2; 3; 4 ] (A.walk_of g ~src:0 joined)
-
-let test_concat_requires_ncu_tail () =
-  let g = B.path 3 in
-  check_bool "raises" true
-    (try ignore (A.concat [] (A.of_walk g [ 0; 1 ])); false
+(* [compile_walk] is [compile] of the list-built header, element for
+   element, with and without selective copies *)
+let test_compile_walk_matches_of_walk () =
+  let g = B.grid ~rows:3 ~cols:3 in
+  let walk = [ 0; 1; 4; 3; 4; 5; 8 ] in
+  List.iter
+    (fun copy_at ->
+      let listed = A.compile (A.of_walk ~copy_at g walk) in
+      let direct = A.compile_walk ~copy_at g (Array.of_list walk) in
+      check_int "length" (A.route_length listed) (A.route_length direct);
+      for i = 0 to A.route_length listed - 1 do
+        check_bool "element" true (A.route_elem listed i = A.route_elem direct i)
+      done)
+    [ (fun _ -> false); (fun _ -> true); (fun v -> v = 4) ];
+  check_int "single node: empty route" 0
+    (A.route_length (A.compile_walk g [| 3 |]));
+  check_bool "empty walk raises" true
+    (try ignore (A.compile_walk g [||]); false
      with Invalid_argument _ -> true)
 
 let test_deliver_element () =
@@ -152,8 +159,8 @@ let suite =
     Alcotest.test_case "injector never copies" `Quick test_injector_never_copies;
     Alcotest.test_case "walk with revisits" `Quick test_walk_revisits;
     Alcotest.test_case "marked first visits" `Quick test_of_walk_marked_first_visits;
-    Alcotest.test_case "concat" `Quick test_concat;
-    Alcotest.test_case "concat requires NCU tail" `Quick test_concat_requires_ncu_tail;
+    Alcotest.test_case "compile_walk = compile of_walk" `Quick
+      test_compile_walk_matches_of_walk;
     Alcotest.test_case "deliver element" `Quick test_deliver_element;
     Alcotest.test_case "encoded bits" `Quick test_encoded_bits_grows_with_length;
     Alcotest.test_case "dangling link id" `Quick test_walk_of_dangling;

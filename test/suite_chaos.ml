@@ -138,7 +138,7 @@ let run_buggy (s : Sch.t) =
   let graph = B.path buggy_n in
   let engine = Sim.Engine.create () in
   let counts = Array.make buggy_n 0 in
-  let tail v = List.init (buggy_n - v) (fun i -> v + i) in
+  let tail v = Array.init (buggy_n - v) (fun i -> v + i) in
   let handlers v =
     {
       N.on_start =

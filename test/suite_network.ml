@@ -34,7 +34,7 @@ let run engine = ignore (Sim.Engine.run engine : Sim.Engine.outcome)
 let test_direct_delivery () =
   let graph = B.path 4 in
   let action v ctx =
-    if v = 0 then N.send_walk ctx ~walk:[ 0; 1; 2; 3 ] (Payload 42)
+    if v = 0 then N.send_walk ctx ~walk:[| 0; 1; 2; 3 |] (Payload 42)
   in
   let net, engine, log = harness ~graph ~action () in
   N.start net 0;
@@ -53,7 +53,7 @@ let test_no_delivery_without_start () =
   let graph = B.path 4 in
   let action v ctx =
     if v = 0 then
-      N.send_walk ~copy_at:(fun _ -> true) ctx ~walk:[ 0; 1; 2; 3 ] (Payload 7)
+      N.send_walk ~copy_at:(fun _ -> true) ctx ~walk:[| 0; 1; 2; 3 |] (Payload 7)
   in
   let _net, engine, log = harness ~graph ~action () in
   run engine;
@@ -63,7 +63,7 @@ let test_selective_copy () =
   let graph = B.path 4 in
   let action v ctx =
     if v = 0 then
-      N.send_walk ~copy_at:(fun _ -> true) ctx ~walk:[ 0; 1; 2; 3 ] (Payload 7)
+      N.send_walk ~copy_at:(fun _ -> true) ctx ~walk:[| 0; 1; 2; 3 |] (Payload 7)
   in
   let net, engine, log = harness ~graph ~action () in
   N.start net 0;
@@ -75,7 +75,9 @@ let test_selective_copy () =
 
 let test_self_delivery () =
   let graph = B.path 2 in
-  let action v ctx = if v = 0 then N.send ctx ~route:[ A.deliver ] (Payload 1) in
+  let action v ctx =
+    if v = 0 then N.send ctx ~route:(A.compile [ A.deliver ]) (Payload 1)
+  in
   let net, engine, log = harness ~graph ~action () in
   N.start net 0;
   run engine;
@@ -85,7 +87,7 @@ let test_self_delivery () =
 let test_timing_new_model () =
   (* C=0, P=1: start activation at 1; delivery processed at 2. *)
   let graph = B.path 3 in
-  let action v ctx = if v = 0 then N.send_walk ctx ~walk:[ 0; 1; 2 ] (Payload 0) in
+  let action v ctx = if v = 0 then N.send_walk ctx ~walk:[| 0; 1; 2 |] (Payload 0) in
   let net, engine, log = harness ~graph ~action () in
   N.start net 0;
   run engine;
@@ -97,7 +99,7 @@ let test_timing_new_model () =
 let test_timing_with_hop_delay () =
   let graph = B.path 3 in
   let cost = CM.deterministic ~c:10.0 ~p:1.0 in
-  let action v ctx = if v = 0 then N.send_walk ctx ~walk:[ 0; 1; 2 ] (Payload 0) in
+  let action v ctx = if v = 0 then N.send_walk ctx ~walk:[| 0; 1; 2 |] (Payload 0) in
   let net, engine, log = harness ~cost ~graph ~action () in
   N.start net 0;
   run engine;
@@ -110,7 +112,7 @@ let test_ncu_serialisation () =
      one software delay apart *)
   let graph = B.star 3 in
   let action v ctx =
-    if v <> 0 then N.send_walk ctx ~walk:[ v; 0 ] (Payload v)
+    if v <> 0 then N.send_walk ctx ~walk:[| v; 0 |] (Payload v)
   in
   let net, engine, log = harness ~graph ~action () in
   N.start net 1;
@@ -128,7 +130,7 @@ let test_fifo_per_link () =
   let action v ctx =
     if v = 0 then
       for i = 1 to 20 do
-        N.send_walk ctx ~walk:[ 0; 1 ] (Payload i)
+        N.send_walk ctx ~walk:[| 0; 1 |] (Payload i)
       done
   in
   let net, engine, log = harness ~cost ~graph ~action () in
@@ -139,7 +141,7 @@ let test_fifo_per_link () =
 
 let test_inactive_link_drops () =
   let graph = B.path 3 in
-  let action v ctx = if v = 0 then N.send_walk ctx ~walk:[ 0; 1; 2 ] (Payload 0) in
+  let action v ctx = if v = 0 then N.send_walk ctx ~walk:[| 0; 1; 2 |] (Payload 0) in
   let net, engine, log = harness ~failed:[ (1, 2) ] ~graph ~action () in
   N.start net 0;
   run engine;
@@ -153,7 +155,7 @@ let test_copy_before_dead_link () =
   let graph = B.path 3 in
   let action v ctx =
     if v = 0 then
-      N.send_walk ~copy_at:(fun _ -> true) ctx ~walk:[ 0; 1; 2 ] (Payload 0)
+      N.send_walk ~copy_at:(fun _ -> true) ctx ~walk:[| 0; 1; 2 |] (Payload 0)
   in
   let net, engine, log = harness ~failed:[ (1, 2) ] ~graph ~action () in
   N.start net 0;
@@ -164,7 +166,7 @@ let test_copy_before_dead_link () =
 let test_in_flight_loss () =
   let graph = B.path 2 in
   let cost = CM.deterministic ~c:10.0 ~p:1.0 in
-  let action v ctx = if v = 0 then N.send_walk ctx ~walk:[ 0; 1 ] (Payload 0) in
+  let action v ctx = if v = 0 then N.send_walk ctx ~walk:[| 0; 1 |] (Payload 0) in
   let net, engine, log = harness ~cost ~graph ~action () in
   N.start net 0;
   (* the packet is in flight during (1, 11); kill the link at 5 *)
@@ -196,10 +198,10 @@ let test_drop_in_flight () =
         N.on_start =
           (fun ctx ->
             (* first packet in flight during (1, 11); the glitch at 5 *)
-            N.send_walk ctx ~walk:[ 0; 1 ] (Payload 1);
+            N.send_walk ctx ~walk:[| 0; 1 |] (Payload 1);
             (* a later packet must cross the same (still up) link *)
             N.set_timer ctx ~delay:20.0 (fun () ->
-                N.send_walk ctx ~walk:[ 0; 1 ] (Payload 2)));
+                N.send_walk ctx ~walk:[| 0; 1 |] (Payload 2)));
       }
   in
   let cost = CM.deterministic ~c:10.0 ~p:1.0 in
@@ -207,9 +209,12 @@ let test_drop_in_flight () =
   N.start net 0;
   Sim.Engine.schedule_at engine ~time:5.0 (fun () -> N.drop_in_flight net 0 1);
   run engine;
+  N.publish net;
   check_int "first packet lost, second delivered" 1 !delivered;
   check_int "no link-change notifications" 0 !notified;
   check_bool "link still up" true (N.link_is_up net 0 1);
+  check_int "metrics count the loss" 1
+    (Hardware.Metrics.dropped_in_flight (N.metrics net));
   (match Hardware.Registry.find_counter registry "net.dropped_in_flight" with
   | Some c -> check_int "in-flight loss counted" 1 (Hardware.Registry.counter_value c)
   | None -> Alcotest.fail "net.dropped_in_flight not registered")
@@ -224,7 +229,7 @@ let test_link_failure_counts_in_flight () =
     if v = 0 then
       {
         N.default_handlers with
-        N.on_start = (fun ctx -> N.send_walk ctx ~walk:[ 0; 1 ] (Payload 0));
+        N.on_start = (fun ctx -> N.send_walk ctx ~walk:[| 0; 1 |] (Payload 0));
       }
     else N.default_handlers
   in
@@ -233,6 +238,7 @@ let test_link_failure_counts_in_flight () =
   N.start net 0;
   Sim.Engine.schedule_at engine ~time:5.0 (fun () -> N.set_link net 0 1 ~up:false);
   run engine;
+  N.publish net;
   match Hardware.Registry.find_counter registry "net.dropped_in_flight" with
   | Some c -> check_int "loss counted" 1 (Hardware.Registry.counter_value c)
   | None -> Alcotest.fail "net.dropped_in_flight not registered"
@@ -286,7 +292,7 @@ let test_preset_link_silent () =
 let test_dmax_enforced () =
   let graph = B.path 10 in
   let action v ctx =
-    if v = 0 then N.send_walk ctx ~walk:(List.init 10 Fun.id) (Payload 0)
+    if v = 0 then N.send_walk ctx ~walk:(Array.init 10 Fun.id) (Payload 0)
   in
   let net, engine, _ = harness ~dmax:5 ~graph ~action () in
   N.start net 0;
@@ -296,7 +302,7 @@ let test_dmax_enforced () =
 let test_send_walk_must_start_here () =
   let graph = B.path 3 in
   let action v ctx =
-    if v = 0 then N.send_walk ctx ~walk:[ 1; 2 ] (Payload 0)
+    if v = 0 then N.send_walk ctx ~walk:[| 1; 2 |] (Payload 0)
   in
   let net, engine, _ = harness ~graph ~action () in
   N.start net 0;
@@ -343,6 +349,11 @@ let test_neighbors_reports_state () =
     [ (1, true); (2, false); (3, true) ]
     !seen
 
+let active net u =
+  let peers = ref [] in
+  N.iter_active_neighbors net u (fun v -> peers := v :: !peers);
+  List.rev !peers
+
 let test_active_neighbors () =
   let graph = B.star 4 in
   let engine = Sim.Engine.create () in
@@ -352,7 +363,7 @@ let test_active_neighbors () =
       ()
   in
   N.preset_link net 0 3 ~up:false;
-  Alcotest.(check (list int)) "active" [ 1; 2 ] (N.active_neighbors net 0)
+  Alcotest.(check (list int)) "active" [ 1; 2 ] (active net 0)
 
 let test_fail_and_restore_node () =
   let graph = B.star 4 in
@@ -366,17 +377,17 @@ let test_fail_and_restore_node () =
   N.fail_node net 0;
   run engine;
   check_bool "dead" false (N.node_is_alive net 0);
-  Alcotest.(check (list int)) "no active neighbours" [] (N.active_neighbors net 0);
+  Alcotest.(check (list int)) "no active neighbours" [] (active net 0);
   (* restoring skips links to dead peers *)
   N.fail_node net 2;
   N.restore_node net 0;
   run engine;
   Alcotest.(check (list int)) "links up except to dead node 2" [ 1; 3 ]
-    (N.active_neighbors net 0);
+    (active net 0);
   N.restore_node net 2;
   run engine;
   Alcotest.(check (list int)) "all restored" [ 1; 2; 3 ]
-    (N.active_neighbors net 0)
+    (active net 0)
 
 let test_dmax_drop_policy () =
   let graph = B.path 10 in
@@ -387,8 +398,8 @@ let test_dmax_drop_policy () =
       N.on_start =
         (fun ctx ->
           if N.self ctx = 0 then begin
-            N.send_walk ctx ~walk:(List.init 10 Fun.id) (Payload 0);
-            N.send_walk ctx ~walk:[ 0; 1 ] (Payload 1)
+            N.send_walk ctx ~walk:(Array.init 10 Fun.id) (Payload 0);
+            N.send_walk ctx ~walk:[| 0; 1 |] (Payload 1)
           end);
       on_message = (fun _ ~via:_ (Payload _) -> incr delivered);
       on_link_change = (fun _ ~peer:_ ~up:_ -> ());
@@ -408,7 +419,7 @@ let test_traditional_model_timing () =
   (* C=1, P=0: pure hop counting, zero software delay *)
   let graph = B.path 4 in
   let cost = CM.traditional () in
-  let action v ctx = if v = 0 then N.send_walk ctx ~walk:[ 0; 1; 2; 3 ] (Payload 0) in
+  let action v ctx = if v = 0 then N.send_walk ctx ~walk:[| 0; 1; 2; 3 |] (Payload 0) in
   let net, engine, log = harness ~cost ~graph ~action () in
   N.start net 0;
   run engine;

@@ -634,7 +634,19 @@ module Scenarios (N : NET) = struct
     ]
 end
 
-module Fast = Scenarios (Hardware.Network)
+(* The real network injects compiled routes and array walks; the
+   scenarios speak the seed's list forms, so compile them here. *)
+module Real : NET = struct
+  include Hardware.Network
+
+  let send ?label ctx ~route payload =
+    send ?label ctx ~route:(A.compile route) payload
+
+  let send_walk ?label ?copy_at ctx ~walk payload =
+    send_walk ?label ?copy_at ctx ~walk:(Array.of_list walk) payload
+end
+
+module Fast = Scenarios (Real)
 module Slow = Scenarios (Refnet)
 
 let parity_tests =
@@ -725,7 +737,7 @@ let test_dmax_raise () =
       {
         Hardware.Network.on_start =
           (fun ctx ->
-            Hardware.Network.send_walk ctx ~walk:[ 0; 1; 2; 3 ] 0);
+            Hardware.Network.send_walk ctx ~walk:[| 0; 1; 2; 3 |] 0);
         on_message = (fun _ ~via:_ _ -> ());
         on_link_change = (fun _ ~peer:_ ~up:_ -> ());
       }

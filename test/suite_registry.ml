@@ -6,6 +6,10 @@ module R = Hardware.Registry
 module BC = Core.Broadcast
 module BP = Core.Branching_paths
 module EL = Core.Election
+module FL = Core.Flooding
+module TM = Core.Topo_maintenance
+module N = Hardware.Network
+module CM = Hardware.Cost_model
 module B = Netgraph.Builders
 module G = Netgraph.Graph
 
@@ -111,22 +115,31 @@ let test_json_and_summary_render () =
   Format.pp_print_flush out ();
   check_bool "summary non-empty" true (Buffer.length buf > 0)
 
-(* Integration: the instruments a broadcast publishes must agree with
-   the exact Metrics accounting the result reports. *)
+let counter_in reg name =
+  match R.find_counter reg name with
+  | Some c -> R.counter_value c
+  | None -> Alcotest.failf "missing counter %s" name
+
+(* The [net.*] counters a run publishes, checked against its exact
+   Metrics accounting; [sends]/[drops] are skipped where a result omits
+   them. *)
+let check_net_counters what reg ~syscalls ~hops ?sends ?drops () =
+  let check name v = check_int (what ^ ": " ^ name) v (counter_in reg name) in
+  check "net.syscalls" syscalls;
+  check "net.hops" hops;
+  Option.iter (check "net.sends") sends;
+  Option.iter (check "net.drops") drops
+
+(* Integration: the instruments every protocol publishes must agree
+   with the exact Metrics accounting its result reports — per run, under
+   faults, and summed when runs share one registry. *)
 let test_broadcast_publishes_consistent_instruments () =
   let g = B.grid ~rows:4 ~cols:5 in
   let reg = R.create () in
   let config = { (BC.default_config ()) with registry = Some reg } in
   let r = BP.run ~config ~graph:g ~root:0 () in
-  let counter name =
-    match R.find_counter reg name with
-    | Some c -> R.counter_value c
-    | None -> Alcotest.failf "missing counter %s" name
-  in
-  check_int "net.syscalls = result" r.BC.syscalls (counter "net.syscalls");
-  check_int "net.hops = result" r.BC.hops (counter "net.hops");
-  check_int "net.sends = result" r.BC.sends (counter "net.sends");
-  check_int "net.drops = result" r.BC.drops (counter "net.drops");
+  check_net_counters "bpaths" reg ~syscalls:r.BC.syscalls ~hops:r.BC.hops
+    ~sends:r.BC.sends ~drops:r.BC.drops ();
   (match R.find_histogram reg "net.hop_latency" with
   | Some h -> check_int "one latency sample per hop" r.BC.hops (R.histogram_count h)
   | None -> Alcotest.fail "missing net.hop_latency");
@@ -141,7 +154,75 @@ let test_broadcast_publishes_consistent_instruments () =
   | None -> Alcotest.fail "missing net.syscalls_per_node");
   (match R.find_counter reg "bpaths.paths_sent" with
   | Some c -> check_bool "bpaths counted its paths" true (R.counter_value c > 0)
-  | None -> Alcotest.fail "missing bpaths.paths_sent")
+  | None -> Alcotest.fail "missing bpaths.paths_sent");
+  (* flooding *)
+  let reg = R.create () in
+  let config = { (BC.default_config ()) with registry = Some reg } in
+  let r = FL.run ~config ~graph:g ~root:3 () in
+  check_net_counters "flood" reg ~syscalls:r.BC.syscalls ~hops:r.BC.hops
+    ~sends:r.BC.sends ~drops:r.BC.drops ();
+  (* election *)
+  let reg = R.create () in
+  let e = EL.run ~registry:reg ~graph:(B.ring 12) () in
+  check_net_counters "election" reg ~syscalls:e.EL.total_syscalls
+    ~hops:e.EL.hops ();
+  (* maintenance *)
+  let reg = R.create () in
+  let params =
+    { (TM.default_params ()) with max_rounds = 2; registry = Some reg }
+  in
+  let m = TM.run ~params ~graph:g ~events:[] () in
+  check_net_counters "maintenance" reg ~syscalls:m.TM.syscalls ~hops:m.TM.hops
+    ();
+  (* under a fault plan: a packet lost mid-link when its link fails,
+     another destroyed by an undetectable glitch *)
+  let reg = R.create () in
+  let engine = Sim.Engine.create () in
+  let handlers v =
+    if v = 0 then
+      {
+        N.default_handlers with
+        N.on_start =
+          (fun ctx ->
+            N.send_walk ctx ~walk:[| 0; 1; 2 |] ();
+            N.send_walk ctx ~walk:[| 0; 3 |] ());
+      }
+    else N.default_handlers
+  in
+  let net =
+    N.create ~registry:reg ~engine ~cost:(CM.deterministic ~c:10.0 ~p:1.0)
+      ~graph:(G.of_edges ~n:4 [ (0, 1); (1, 2); (0, 3) ])
+      ~handlers ()
+  in
+  Hardware.Fault_plan.arm net
+    [
+      Hardware.Fault_plan.Link_set { at = 5.0; u = 0; v = 1; up = false };
+      Hardware.Fault_plan.Drop_in_flight { at = 6.0; u = 0; v = 3 };
+    ];
+  N.start net 0;
+  ignore (Sim.Engine.run engine : Sim.Engine.outcome);
+  N.publish net;
+  let metrics = N.metrics net in
+  check_int "both packets lost in flight" 2
+    (Hardware.Metrics.dropped_in_flight metrics);
+  check_int "net.dropped_in_flight = Metrics"
+    (Hardware.Metrics.dropped_in_flight metrics)
+    (counter_in reg "net.dropped_in_flight");
+  check_net_counters "fault plan" reg
+    ~syscalls:(Hardware.Metrics.syscalls metrics)
+    ~hops:(Hardware.Metrics.hops metrics)
+    ~sends:(Hardware.Metrics.sends metrics)
+    ~drops:(Hardware.Metrics.drops metrics) ();
+  (* two runs into one shared registry accumulate *)
+  let reg = R.create () in
+  let config = { (BC.default_config ()) with registry = Some reg } in
+  let r1 = BP.run ~config ~graph:g ~root:0 () in
+  let r2 = FL.run ~config ~graph:(B.ring 9) ~root:4 () in
+  check_net_counters "shared registry" reg
+    ~syscalls:(r1.BC.syscalls + r2.BC.syscalls)
+    ~hops:(r1.BC.hops + r2.BC.hops)
+    ~sends:(r1.BC.sends + r2.BC.sends)
+    ~drops:(r1.BC.drops + r2.BC.drops) ()
 
 let test_election_publishes_consistent_instruments () =
   let g = B.ring 12 in
