@@ -153,7 +153,7 @@ let maintenance_params ~n =
 (* -- the recovery-overhead scenario ----------------------------------- *)
 
 (* A branching-paths broadcast that loses one subtree to a mid-wave
-   link cut and must heal it through the DESIGN.md §16 ack/retransmit
+   link cut and must heal it through the DESIGN.md §16 echo/retransmit
    layer: the link (root, first neighbour) goes down at t=0.5 — after
    the root's sends but before every delivery completes — and comes
    back at t=3.0, well inside the first backoff delay, so exactly the
@@ -1466,12 +1466,27 @@ let run_monitor_checks ~n =
     Core.Branching_paths.run ~config ~precomputed:labelling ?routes ~graph:g
       ~root:0 ()
   in
+  (* the same broadcast, fault-free, with the recovery layer's tree
+     echo armed *)
+  let r =
+    Core.Branching_paths.run
+      ~config:
+        {
+          (Core.Broadcast.default_config ()) with
+          recover = Some (Hardware.Recover.default ~n);
+        }
+      ~precomputed:labelling ?routes ~graph:g ~root:0 ()
+  in
   let broadcast_reports =
     [
       Hardware.Monitor.theorem2_broadcast ~n ~syscalls:b.Core.Broadcast.syscalls
         ~time:b.Core.Broadcast.time ();
       Hardware.Monitor.one_way_delivery ~n ~syscalls:b.Core.Broadcast.syscalls;
       Hardware.Monitor.fifo_per_link trace;
+      Hardware.Monitor.theorem2_recovering ~n
+        ~echo_depth:(Hardware.Monitor.echo_depth (Core.Labels.tree labelling))
+        ~syscalls:r.Core.Broadcast.syscalls ~hops:r.Core.Broadcast.hops
+        ~time:r.Core.Broadcast.time ();
     ]
   in
   let reports =

@@ -6,7 +6,9 @@ type msg =
   | Data of { origin : int; labelling : Labels.t; attempt : int }
       (** the broadcast payload; [attempt] > 0 marks a retransmission
           (relays forward once per attempt, acceptance is idempotent) *)
-  | Ack of { src : int }  (** delivery acknowledgement back to the origin *)
+  | Ack of { src : int }
+      (** recovery only: [src]'s echo to its tree parent — [src] and
+          its whole subtree hold the payload *)
 
 let tree_for ~view ~root = Netgraph.Spanning.bfs_tree view ~root
 
@@ -82,7 +84,7 @@ let spec ?precomputed ?routes ?recovery ~multicast ~reached ~view v =
         match recovery with
         | None -> ()
         | Some st ->
-            Broadcast.Recovery.start st ctx
+            Broadcast.Recovery.start st ctx ~tree:(Labels.tree labelling)
               ~resend:(fun ~attempt -> send attempt));
     on_message =
       (fun ctx ~via:_ m ->
@@ -98,21 +100,15 @@ let spec ?precomputed ?routes ?recovery ~multicast ~reached ~view v =
               send_paths ~multicast ctx (sends_for ctx ~routes d.labelling m);
               match recovery with
               | None -> ()
-              | Some _ -> (
-                  (* acknowledge this attempt up the broadcast tree; a
-                     lost ack is healed by the next retransmission
-                     re-triggering it *)
-                  match
-                    Broadcast.Recovery.ack_walk (Labels.tree d.labelling) v
-                  with
-                  | Some walk ->
-                      Network.send_walk ~label:"bpaths-ack" ctx ~walk
-                        (Ack { src = v })
-                  | None -> ())
+              | Some st ->
+                  Broadcast.Recovery.delivered st ctx ~label:"bpaths-ack"
+                    (Ack { src = v })
             end
         | Ack { src } -> (
             match recovery with
-            | Some st -> Broadcast.Recovery.ack st ~src
+            | Some st ->
+                Broadcast.Recovery.echo st ctx ~label:"bpaths-ack" ~src
+                  (Ack { src = v })
             | None -> ()));
     on_link_change = (fun _ ~peer:_ ~up:_ -> ());
   }

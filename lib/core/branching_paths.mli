@@ -34,8 +34,8 @@ type msg =
               application-level delivery at-most-once. *)
     }
   | Ack of { src : int }
-      (** recovery only: [src] acknowledges its acceptance of the
-          current attempt, routed up the broadcast tree to the origin *)
+      (** recovery only: [src]'s echo to its broadcast-tree parent —
+          [src] and its whole subtree hold the payload *)
 
 val tree_for : view:Netgraph.Graph.t -> root:int -> Netgraph.Tree.t
 (** The minimum-hop (BFS) spanning tree of the root's component of its
@@ -90,7 +90,9 @@ val run :
     headers name the static graph's link indices, so a compiled header
     and one built from the walk at send time are the same packet.
 
-    When [config.recover] is set, the run is self-healing: receivers
-    acknowledge each accepted attempt up the broadcast tree and the
-    root retransmits under capped exponential backoff until everyone
-    acked or the retry budget is spent (DESIGN.md §16). *)
+    When [config.recover] is set, the run is self-healing: accepted
+    attempts are echoed up the broadcast tree (a node echoes once its
+    subtree has, one echo per tree link) and the root retransmits
+    under capped exponential backoff until the whole tree has echoed
+    or the retry budget is spent (DESIGN.md §16).  A fault-free
+    recovering run makes [2n - 1] system calls and [2(n - 1)] hops. *)

@@ -39,23 +39,31 @@ let default_config () =
     recover = None;
   }
 
-(* Root-side ack/retransmit state shared by the recovering broadcast
-   algorithms (DESIGN.md §16).  Receivers acknowledge each accepted
-   attempt back to the root; the root's watchdog retransmits the whole
-   broadcast — attempt-tagged, so relays forward once per attempt and
-   acceptance stays at-most-once — under capped exponential backoff
-   until every node acked or the retry budget is spent.  Everything is
-   ordinary engine events and the backoff jitter comes from the root's
-   own split stream, so traces stay byte-identical at any [--jobs]. *)
+(* Echo/retransmit state shared by the recovering broadcast algorithms
+   (DESIGN.md §16).  Acknowledgement is a convergecast over the
+   broadcast tree, §5's optimal way to gather one bit from every node:
+   a node echoes once to its tree parent when it holds the payload and
+   every child has echoed, so a fault-free run costs n-1 one-hop
+   echoes.  The root's watchdog retransmits the whole broadcast —
+   attempt-tagged, so relays forward once per attempt and acceptance
+   stays at-most-once — under capped exponential backoff until all of
+   the root's children echoed or the retry budget is spent.  Everything
+   is ordinary engine events and the backoff jitter comes from the
+   root's own split stream, so traces stay byte-identical at any
+   [--jobs]. *)
 module Recovery = struct
   module Registry = Hardware.Registry
   module Recover = Hardware.Recover
+  module Tree = Netgraph.Tree
 
   type t = {
     rc : Recover.t;
     obs : Recover.obs option;
-    acked : bool array;
-    mutable acks : int;
+    root : int;
+    mutable tree : Tree.t;  (* the broadcast tree, set by [start] *)
+    holds : bool array;  (* [v] holds the payload *)
+    counted : bool array;  (* [v]'s echo was counted by its parent *)
+    waiting : int array;  (* children of [v] yet to echo; -1 = not counted yet *)
     mutable attempt : int;
     mutable dog : Sim.Timer.t option;
     rng : Sim.Rng.t;  (* the root's jitter stream *)
@@ -65,79 +73,98 @@ module Recovery = struct
     match config.recover with
     | None -> None
     | Some rc ->
-        let acked = Array.make n false in
-        acked.(root) <- true;
+        let holds = Array.make n false in
+        holds.(root) <- true;
         Some
           {
             rc;
             obs = Recover.obs config.registry;
-            acked;
-            acks = 1;
+            root;
+            tree = Tree.singleton root;
+            holds;
+            counted = Array.make n false;
+            waiting = Array.make n (-1);
             attempt = 0;
             dog = None;
             rng = (Recover.streams rc ~n).(root);
           }
 
-  let complete st = st.acks >= Array.length st.acked
+  let complete st = st.waiting.(st.root) = 0
 
-  (* Root side: record one ack, at most once per source; the watchdog
-     is cancelled the instant the last ack lands, so a fault-free
-     recovering run costs exactly the acks — no expiry ever fires. *)
-  let ack st ~src =
-    if src >= 0 && src < Array.length st.acked && not st.acked.(src) then begin
-      st.acked.(src) <- true;
-      st.acks <- st.acks + 1;
-      (match st.obs with Some o -> Registry.incr o.Recover.r_acks | None -> ());
-      if complete st then
-        match st.dog with Some d -> Sim.Timer.cancel d | None -> ()
+  (* children of [v] whose echo has not arrived, counted on first use *)
+  let waiting st v =
+    let w = st.waiting.(v) in
+    if w >= 0 then w
+    else begin
+      let w = List.length (Tree.children st.tree v) in
+      st.waiting.(v) <- w;
+      w
     end
 
-  (* Root side, from on_start: arm the watchdog loop.  Expiry [k]
-     (0-based) retransmits as attempt [k+1] and re-arms with the next
-     backoff delay until the budget is spent. *)
-  let start st ctx ~resend =
-    let dog = Network.watchdog ctx in
-    st.dog <- Some dog;
-    let rec arm () =
-      let delay = Recover.delay st.rc ~rng:st.rng ~attempt:st.attempt in
-      (match st.obs with
-      | Some o -> Registry.observe o.Recover.r_backoff delay
-      | None -> ());
-      Network.arm_watchdog ~label:"bcast-watchdog" ctx dog ~delay (fun () ->
-          if not (complete st) then begin
-            (match st.obs with
-            | Some o -> Registry.incr o.Recover.r_timeouts
-            | None -> ());
-            if st.attempt >= st.rc.Recover.max_retries then (
-              match st.obs with
-              | Some o -> Registry.incr o.Recover.r_give_ups
-              | None -> ())
-            else begin
-              st.attempt <- st.attempt + 1;
-              (match st.obs with
-              | Some o -> Registry.incr o.Recover.r_retransmits
-              | None -> ());
-              resend ~attempt:st.attempt;
-              arm ()
-            end
-          end)
-    in
-    arm ()
+  let cancel_dog st =
+    match st.dog with Some d -> Sim.Timer.cancel d | None -> ()
 
-  (* The ack route: up the broadcast tree from [v] to its root — a
-     path of the static graph, so it is valid again once every fault
-     has healed.  [None] when [v] is the root or outside the tree. *)
-  let ack_walk tree v =
-    if not (Netgraph.Tree.mem tree v) then None
-    else
-      match Netgraph.Tree.path_from_root tree v with
-      | _ :: _ :: _ as path ->
-          (* filled back to front: the walk runs from [v] up to the root *)
-          let len = List.length path in
-          let walk = Array.make len v in
-          List.iteri (fun i u -> walk.(len - 1 - i) <- u) path;
-          Some walk
-      | _ -> None
+  (* [v] holds the payload and its whole subtree has echoed: echo over
+     the one tree link to the parent or, at the root, stop the watchdog,
+     so a fault-free run never sees an expiry. *)
+  let echo_up st ctx ~label ack =
+    let v = Network.self ctx in
+    match Tree.parent st.tree v with
+    | Some p -> Network.send_walk ~label ctx ~walk:[| v; p |] ack
+    | None -> cancel_dog st
+
+  let delivered st ctx ~label ack =
+    let v = Network.self ctx in
+    st.holds.(v) <- true;
+    (* an echo already sent goes again: a new attempt means some echo
+       never reached the root, and this one may be it *)
+    if Tree.mem st.tree v && waiting st v = 0 then echo_up st ctx ~label ack
+
+  let echo st ctx ~label ~src ack =
+    (match st.obs with Some o -> Registry.incr o.Recover.r_acks | None -> ());
+    if not st.counted.(src) then begin
+      st.counted.(src) <- true;
+      let v = Network.self ctx in
+      let w = waiting st v - 1 in
+      st.waiting.(v) <- w;
+      if w = 0 && st.holds.(v) then echo_up st ctx ~label ack
+    end
+
+  (* Root side, from on_start: arm the watchdog loop, unless the root
+     has no children to wait for.  Expiry [k] (0-based) retransmits as
+     attempt [k+1] and re-arms with the next backoff delay until the
+     budget is spent. *)
+  let start st ctx ~tree ~resend =
+    st.tree <- tree;
+    if waiting st st.root > 0 then begin
+      let dog = Network.watchdog ctx in
+      st.dog <- Some dog;
+      let rec arm () =
+        let delay = Recover.delay st.rc ~rng:st.rng ~attempt:st.attempt in
+        (match st.obs with
+        | Some o -> Registry.observe o.Recover.r_backoff delay
+        | None -> ());
+        Network.arm_watchdog ~label:"bcast-watchdog" ctx dog ~delay (fun () ->
+            if not (complete st) then begin
+              (match st.obs with
+              | Some o -> Registry.incr o.Recover.r_timeouts
+              | None -> ());
+              if st.attempt >= st.rc.Recover.max_retries then (
+                match st.obs with
+                | Some o -> Registry.incr o.Recover.r_give_ups
+                | None -> ())
+              else begin
+                st.attempt <- st.attempt + 1;
+                (match st.obs with
+                | Some o -> Registry.incr o.Recover.r_retransmits
+                | None -> ());
+                resend ~attempt:st.attempt;
+                arm ()
+              end
+            end)
+      in
+      arm ()
+    end
 end
 
 type 'msg spec =

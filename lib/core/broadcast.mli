@@ -48,9 +48,9 @@ type config = {
           loss (the chaos harness's injection hook) *)
   recover : Hardware.Recover.t option;
       (** when given, algorithms that support self-healing (branching
-          paths, flooding) run their ack/retransmit layer under this
+          paths, flooding) run their echo/retransmit layer under this
           policy (DESIGN.md §16); [None] — the default — is the exact
-          historical execution, no acks, no watchdogs, byte-identical
+          historical execution, no echoes, no watchdogs, byte-identical
           traces *)
 }
 
@@ -58,10 +58,14 @@ val default_config : unit -> config
 (** [new_model] cost (C=0, P=1), no failures, no [dmax], true view,
     no external trace or registry, no chaos plan, no recovery. *)
 
-(** Shared root-side ack/retransmit machinery for recovering broadcast
+(** Shared echo/retransmit machinery for recovering broadcast
     algorithms; see DESIGN.md §16.  Algorithm modules create one per
-    run (from the config), feed root-side acks in, and arm the
-    watchdog loop from the root's [on_start]. *)
+    run (from the config), arm the watchdog loop from the root's
+    [on_start], and report each payload delivery and each echo they
+    receive.  Acknowledgement is a tree echo: a tree node sends one
+    [ack] to its parent over the tree link once it holds the payload
+    and every child has echoed, and sends it again on every new
+    attempt; the root is complete when all its children have echoed. *)
 module Recovery : sig
   type t
 
@@ -69,21 +73,35 @@ module Recovery : sig
   (** [None] iff [config.recover] is [None]. *)
 
   val complete : t -> bool
-  (** Every node has acknowledged the payload. *)
+  (** Every child of the root has echoed: the whole tree holds the
+      payload. *)
 
-  val ack : t -> src:int -> unit
-  (** Root side: record an ack from [src] (at most once per source);
-      cancels the watchdog when the last ack lands. *)
+  val start :
+    t ->
+    'msg Hardware.Network.context ->
+    tree:Netgraph.Tree.t ->
+    resend:(attempt:int -> unit) ->
+    unit
+  (** Root side: record the broadcast [tree] every node echoes over and
+      arm the watchdog loop (nothing to arm when the root has no tree
+      children).  Each expiry with echoes still missing
+      and budget left calls [resend] with the next attempt number
+      (1-based) and re-arms under capped exponential backoff; an
+      exhausted budget counts one [recover.give_ups] and stops. *)
 
-  val start : t -> 'msg Hardware.Network.context -> resend:(attempt:int -> unit) -> unit
-  (** Root side: arm the watchdog loop.  Each expiry with acks still
-      missing and budget left calls [resend] with the next attempt
-      number (1-based) and re-arms under capped exponential backoff;
-      an exhausted budget counts one [recover.give_ups] and stops. *)
+  val delivered :
+    t -> 'msg Hardware.Network.context -> label:string -> 'msg -> unit
+  (** The context's node accepted a new attempt's payload.  If all of
+      its tree children have echoed, it sends [ack] (its echo) to its
+      tree parent — again if it echoed an earlier attempt, which
+      repairs a lost echo.  Nodes outside the tree never echo. *)
 
-  val ack_walk : Netgraph.Tree.t -> int -> int array option
-  (** The walk from a member node up the broadcast tree to its root
-      ([None] at the root itself or off-tree). *)
+  val echo :
+    t -> 'msg Hardware.Network.context -> label:string -> src:int -> 'msg -> unit
+  (** The context's node received the echo of its tree child [src];
+      each child counts once.  The echo that completes a node holding
+      the payload sends [ack] to its parent, or at the root cancels the
+      watchdog.  Every call counts one [recover.acks]. *)
 end
 
 (** {1 Internal executor used by the algorithm modules} *)

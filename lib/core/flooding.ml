@@ -24,7 +24,7 @@ let forward ctx ~except m =
     | _ -> ()
 
 (* [ack_tree] (recovery only) is a BFS tree of the root's view: the
-   fixed routes acks climb to reach the root. *)
+   tree the echoes converge over. *)
 let spec ?recovery ?ack_tree ~reached ~view:_ v =
   let seen_attempt = ref (-1) in
   {
@@ -40,7 +40,7 @@ let spec ?recovery ?ack_tree ~reached ~view:_ v =
         match recovery with
         | None -> ()
         | Some st ->
-            Broadcast.Recovery.start st ctx
+            Broadcast.Recovery.start st ctx ~tree:(Option.get ack_tree)
               ~resend:(fun ~attempt -> send attempt));
     on_message =
       (fun ctx ~via m ->
@@ -50,18 +50,17 @@ let spec ?recovery ?ack_tree ~reached ~view:_ v =
             if d.attempt > !seen_attempt then begin
               seen_attempt := d.attempt;
               forward ctx ~except:via m;
-              match (recovery, ack_tree) with
-              | Some _, Some tree -> (
-                  match Broadcast.Recovery.ack_walk tree v with
-                  | Some walk ->
-                      Network.send_walk ~label:"flood-ack" ctx ~walk
-                        (Ack { src = v })
-                  | None -> ())
-              | _ -> ()
+              match recovery with
+              | Some st ->
+                  Broadcast.Recovery.delivered st ctx ~label:"flood-ack"
+                    (Ack { src = v })
+              | None -> ()
             end
         | Ack { src } -> (
             match recovery with
-            | Some st -> Broadcast.Recovery.ack st ~src
+            | Some st ->
+                Broadcast.Recovery.echo st ctx ~label:"flood-ack" ~src
+                  (Ack { src = v })
             | None -> ()));
     on_link_change = (fun _ ~peer:_ ~up:_ -> ());
   }

@@ -13,8 +13,8 @@ type msg =
       (** the flooded payload; [attempt] > 0 marks a retransmission
           wave (each node floods once per attempt) *)
   | Ack of { src : int }
-      (** recovery only: acceptance ack, routed up a BFS tree of the
-          root's view *)
+      (** recovery only: [src]'s echo to its parent in a BFS tree of the
+          root's view — [src] and its whole subtree hold the payload *)
 
 val spec :
   ?recovery:Broadcast.Recovery.t ->
@@ -24,7 +24,7 @@ val spec :
   int ->
   msg Hardware.Network.handlers
 (** Low-level handler factory, for embedding in custom harnesses.
-    [ack_tree] must accompany [recovery]: the fixed tree acks climb. *)
+    [ack_tree] must accompany [recovery]: the tree echoes converge over. *)
 
 val run :
   ?config:Broadcast.config ->
@@ -32,7 +32,8 @@ val run :
   root:int ->
   unit ->
   Broadcast.result
-(** When [config.recover] is set the flood self-heals: each node acks
-    every accepted attempt to the root along a BFS tree of the view,
-    and the root re-floods under capped exponential backoff until all
-    acked or the retry budget is spent (DESIGN.md §16). *)
+(** When [config.recover] is set the flood self-heals: accepted
+    attempts are echoed up a BFS tree of the view (one echo per tree
+    link), and the root re-floods under capped exponential backoff
+    until the whole tree has echoed or the retry budget is spent
+    (DESIGN.md §16). *)

@@ -18,6 +18,35 @@ let theorem2_broadcast ?(p = 1.0) ~n ~syscalls ~time () =
         n syscalls n time bound;
   }
 
+(* One preorder pass: a node's weight is its parent's plus the
+   parent's child count, the echoes that may queue ahead of it there. *)
+let echo_depth tree =
+  let module T = Netgraph.Tree in
+  let depth = Hashtbl.create (T.size tree) in
+  List.fold_left
+    (fun acc v ->
+      let d =
+        match T.parent tree v with
+        | None -> 0
+        | Some p -> Hashtbl.find depth p + List.length (T.children tree p)
+      in
+      Hashtbl.replace depth v d;
+      max acc d)
+    0 (T.nodes tree)
+
+let theorem2_recovering ?(p = 1.0) ~n ~echo_depth ~syscalls ~hops ~time () =
+  let bound = (2.0 +. log2 (float_of_int n) +. float_of_int echo_depth) *. p in
+  let want_syscalls = (2 * n) - 1 and want_hops = 2 * (n - 1) in
+  {
+    monitor = "theorem2-recovering";
+    ok = syscalls = want_syscalls && hops = want_hops && time <= bound +. 1e-9;
+    detail =
+      Printf.sprintf
+        "n=%d: syscalls %d (want exactly %d), hops %d (want exactly %d), time \
+         %g (want <= %g = (2 + log2 n + echo depth %d)*P)"
+        n syscalls want_syscalls hops want_hops time bound echo_depth;
+  }
+
 let election_budget ~n ~election_syscalls =
   {
     monitor = "election-6n";

@@ -35,6 +35,35 @@ val theorem2_broadcast :
     plus the one triggering activation the harness charges.  [p]
     (default [1.]) is the cost model's software delay bound. *)
 
+val echo_depth : Netgraph.Tree.t -> int
+(** The longest wait a tree echo can meet: the maximum, over
+    root-to-leaf paths, of the summed child counts of the path's inner
+    nodes.  Each inner node may process all its children's echoes
+    before forwarding its own, one software delay apiece.  Equals the
+    height on a path, twice the height on a complete binary tree and
+    [n - 1] on a star. *)
+
+val theorem2_recovering :
+  ?p:float ->
+  n:int ->
+  echo_depth:int ->
+  syscalls:int ->
+  hops:int ->
+  time:float ->
+  unit ->
+  report
+(** Theorem 2 with the recovery layer's tree echo (DESIGN.md §16), for
+    one fault-free recovering branching-paths broadcast whose tree has
+    the given {!echo_depth}: exactly [2n - 1] system calls and
+    [2(n - 1)] hops (the broadcast's [n] and [n - 1] plus one one-hop
+    echo per non-root node), and completion within
+    [(2 + log₂ n + echo_depth) · P].  The time bound holds because
+    echoes never delay the broadcast (a node's children echo only
+    after it received the payload), every leaf echoes within the
+    broadcast's [(2 + log₂ n) · P], and a node with [k] children is
+    done [k · P] after the later of that bound and its last child's
+    echo. *)
+
 val election_budget : n:int -> election_syscalls:int -> report
 (** Theorem 5: at most [6n] election system calls. *)
 

@@ -4,12 +4,14 @@ type t = {
   seed : int;
 }
 
-(* The base timeout must comfortably exceed a fault-free completion:
-   under the paper's model a broadcast or tour round trip is O(n)
-   NCU-serialised work (n-1 acks absorbed one software delay apiece at
-   the root is the worst term), so Θ(n) with headroom; the +64 floor
-   keeps small networks' timeouts past the chaos quiescence horizon so
-   the first retry already lands on the healed graph. *)
+(* The base timeout must comfortably exceed a fault-free completion.
+   A broadcast's tree echo completes in O(log n + echo depth) time,
+   but an election tour can take Θ(n) and the election arms its
+   watchdogs from this same base, so it stays Θ(n) with headroom.  A
+   fault-free broadcast pays nothing for the long timeout: its
+   watchdog is cancelled, never fired.  The +64 floor keeps small
+   networks' timeouts past the chaos quiescence horizon so the first
+   retry already lands on the healed graph. *)
 let default ~n =
   let base = 64.0 +. (4.0 *. float_of_int (max 1 n)) in
   {
@@ -55,7 +57,7 @@ let obs registry =
               ~help:"maintenance rounds resumed on node recovery";
           r_acks =
             Registry.counter r "recover.acks"
-              ~help:"delivery acknowledgements received";
+              ~help:"broadcast tree echoes received, by any node";
           r_give_ups =
             Registry.counter r "recover.give_ups"
               ~help:"retry budgets exhausted";

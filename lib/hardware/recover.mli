@@ -18,9 +18,9 @@ type t = {
 
 val default : n:int -> t
 (** A policy sized for an [n]-node network under the paper's cost
-    model: the base timeout dominates a full protocol round trip
-    including serial ack absorption at one NCU (Θ(n·P)), doubling per
-    retry up to 16×, 25% jitter, 8 retries. *)
+    model: the base timeout dominates a full protocol round trip,
+    up to an election tour's Θ(n·P), doubling per retry up to 16×, 25%
+    jitter, 8 retries. *)
 
 val streams : t -> n:int -> Sim.Rng.t array
 (** The per-node jitter streams: child [v] drives node [v]'s backoff
@@ -40,7 +40,9 @@ type obs = {
   r_retransmits : Registry.counter;  (** broadcast re-sends *)
   r_restarts : Registry.counter;  (** election epoch restarts *)
   r_resumes : Registry.counter;  (** maintenance rounds resumed on recover *)
-  r_acks : Registry.counter;  (** delivery acknowledgements received *)
+  r_acks : Registry.counter;
+      (** broadcast tree echoes received, by any node: [n - 1] when
+          nothing fails *)
   r_give_ups : Registry.counter;  (** retry budgets exhausted *)
   r_backoff : Registry.histogram;  (** chosen backoff delays *)
 }

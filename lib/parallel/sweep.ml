@@ -130,9 +130,15 @@ let run_replica scenario ~n ~seed ~trace_capacity ~keep_events index rng =
         }
     | Maintenance ->
         (* one replica-specific link failure mid-run, so the replicas
-           exercise genuinely different executions *)
-        let edges = Array.of_list (Netgraph.Graph.edges graph) in
-        let failed = edges.(Sim.Rng.int run_rng (Array.length edges)) in
+           exercise genuinely different executions; a one-node graph
+           has no link to fail *)
+        let events =
+          match Array.of_list (Netgraph.Graph.edges graph) with
+          | [||] -> []
+          | edges ->
+              let edge = edges.(Sim.Rng.int run_rng (Array.length edges)) in
+              [ { Core.Topo_maintenance.at = 10.0; edge; up = false } ]
+        in
         let params =
           {
             (Core.Topo_maintenance.default_params ()) with
@@ -142,11 +148,7 @@ let run_replica scenario ~n ~seed ~trace_capacity ~keep_events index rng =
             registry = Some registry;
           }
         in
-        let o =
-          Core.Topo_maintenance.run ~params ~graph
-            ~events:[ { Core.Topo_maintenance.at = 10.0; edge = failed; up = false } ]
-            ()
-        in
+        let o = Core.Topo_maintenance.run ~params ~graph ~events () in
         {
           index;
           syscalls = o.Core.Topo_maintenance.syscalls;

@@ -1,5 +1,5 @@
 type t = {
-  queue : (float, unit -> unit) Heap.t;
+  queue : (unit -> unit) Heap.t;
   mutable clock : float;
   mutable executed : int;
 }
@@ -8,7 +8,7 @@ type outcome = Quiescent | Time_limit | Event_limit
 
 let create ?queue_capacity () =
   {
-    queue = Heap.create ?capacity:queue_capacity ~cmp:Float.compare ();
+    queue = Heap.create ?capacity:queue_capacity ();
     clock = 0.0;
     executed = 0;
   }
@@ -23,7 +23,8 @@ let reset t =
   t.executed <- 0
 
 let schedule_at t ~time f =
-  if time < t.clock then
+  (* negated so a NaN time is refused too: the queue orders by [<] *)
+  if not (time >= t.clock) then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time
          t.clock);

@@ -44,7 +44,7 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** [schedule_at t ~time f] runs [f] at absolute [time], which must not
-    be in the past. *)
+    be in the past (nor NaN). *)
 
 val run : ?until:float -> ?max_events:int -> t -> outcome
 (** [run t] executes events in time order until the queue is empty, the

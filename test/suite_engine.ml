@@ -85,7 +85,11 @@ let test_past_scheduling_rejected () =
   Sim.Engine.schedule e ~delay:5.0 (fun () ->
       Alcotest.check_raises "past time"
         (Invalid_argument "Engine.schedule_at: time 1 is before now 5")
-        (fun () -> Sim.Engine.schedule_at e ~time:1.0 (fun () -> ())));
+        (fun () -> Sim.Engine.schedule_at e ~time:1.0 (fun () -> ()));
+      (* a NaN time would break the queue's order *)
+      Alcotest.check_raises "NaN time"
+        (Invalid_argument "Engine.schedule_at: time nan is before now 5")
+        (fun () -> Sim.Engine.schedule_at e ~time:Float.nan (fun () -> ())));
   ignore (Sim.Engine.run e)
 
 let test_negative_delay_rejected () =

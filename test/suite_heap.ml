@@ -1,32 +1,36 @@
-(* Tests for Sim.Heap: ordering, stability, dynamic growth. *)
+(* Tests for Sim.Heap: ordering, stability, dynamic growth.  Priorities
+   are floats, the engine's simulated times. *)
 
 let check_int = Alcotest.(check int)
 
 let test_empty () =
-  let h = Sim.Heap.create ~cmp:compare () in
+  let h = Sim.Heap.create () in
   Alcotest.(check bool) "is_empty" true (Sim.Heap.is_empty h);
   check_int "length" 0 (Sim.Heap.length h);
   Alcotest.(check bool) "pop None" true (Sim.Heap.pop h = None);
   Alcotest.(check bool) "peek None" true (Sim.Heap.peek h = None)
 
 let test_sorted_pop () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  List.iter (fun p -> Sim.Heap.push h p p) [ 5; 3; 9; 1; 7; 2; 8; 4; 6; 0 ];
+  let h = Sim.Heap.create () in
+  List.iter
+    (fun p -> Sim.Heap.push h p p)
+    [ 5.; 3.; 9.; 1.; 7.; 2.; 8.; 4.; 6.; 0. ];
   let rec drain acc =
     match Sim.Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
   in
-  Alcotest.(check (list int)) "sorted" (List.init 10 Fun.id) (drain [])
+  Alcotest.(check (list (float 0.)))
+    "sorted" (List.init 10 float_of_int) (drain [])
 
 let test_peek_does_not_remove () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  Sim.Heap.push h 2 "b";
-  Sim.Heap.push h 1 "a";
-  Alcotest.(check bool) "peek min" true (Sim.Heap.peek h = Some (1, "a"));
+  let h = Sim.Heap.create () in
+  Sim.Heap.push h 2. "b";
+  Sim.Heap.push h 1. "a";
+  Alcotest.(check bool) "peek min" true (Sim.Heap.peek h = Some (1., "a"));
   check_int "length unchanged" 2 (Sim.Heap.length h)
 
 let test_fifo_stability () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  List.iteri (fun i name -> Sim.Heap.push h (i mod 2) name)
+  let h = Sim.Heap.create () in
+  List.iteri (fun i name -> Sim.Heap.push h (float_of_int (i mod 2)) name)
     [ "a"; "b"; "c"; "d"; "e"; "f" ];
   (* priority 0: a(0) c(2) e(4); priority 1: b d f *)
   let rec drain acc =
@@ -36,9 +40,9 @@ let test_fifo_stability () =
     [ "a"; "c"; "e"; "b"; "d"; "f" ] (drain [])
 
 let test_growth () =
-  let h = Sim.Heap.create ~cmp:compare () in
+  let h = Sim.Heap.create () in
   for i = 999 downto 0 do
-    Sim.Heap.push h i i
+    Sim.Heap.push h (float_of_int i) i
   done;
   check_int "length" 1000 (Sim.Heap.length h);
   let rec drain last count =
@@ -48,42 +52,42 @@ let test_growth () =
         Alcotest.(check bool) "non-decreasing" true (p >= last);
         drain p (count + 1)
   in
-  check_int "all popped" 1000 (drain min_int 0)
+  check_int "all popped" 1000 (drain neg_infinity 0)
 
 let test_clear () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  Sim.Heap.push h 1 ();
+  let h = Sim.Heap.create () in
+  Sim.Heap.push h 1. ();
   Sim.Heap.clear h;
   Alcotest.(check bool) "empty after clear" true (Sim.Heap.is_empty h)
 
 let test_clear_resets_fifo_seq () =
   (* after clear, FIFO tie-breaking starts over: the replica-loop reuse
      case must behave exactly like a fresh heap *)
-  let h = Sim.Heap.create ~cmp:compare () in
-  Sim.Heap.push h 0 "stale";
+  let h = Sim.Heap.create () in
+  Sim.Heap.push h 0. "stale";
   Sim.Heap.clear h;
-  Sim.Heap.push h 1 "a";
-  Sim.Heap.push h 1 "b";
+  Sim.Heap.push h 1. "a";
+  Sim.Heap.push h 1. "b";
   Alcotest.(check (list string)) "fresh FIFO order" [ "a"; "b" ]
     (List.map snd (Sim.Heap.to_sorted_list h))
 
 let test_capacity_hint () =
-  let h = Sim.Heap.create ~capacity:1000 ~cmp:compare () in
+  let h = Sim.Heap.create ~capacity:1000 () in
   for i = 0 to 999 do
-    Sim.Heap.push h i i
+    Sim.Heap.push h (float_of_int i) i
   done;
   check_int "holds capacity items" 1000 (Sim.Heap.length h);
   Alcotest.(check bool) "negative capacity rejected" true
-    (match Sim.Heap.create ~capacity:(-1) ~cmp:compare () with
+    (match Sim.Heap.create ~capacity:(-1) () with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
 let test_min_prio_and_pop_min () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  List.iter (fun p -> Sim.Heap.push h p (10 * p)) [ 4; 2; 7 ];
-  check_int "min_prio" 2 (Sim.Heap.min_prio h);
+  let h = Sim.Heap.create () in
+  List.iter (fun p -> Sim.Heap.push h (float_of_int p) (10 * p)) [ 4; 2; 7 ];
+  Alcotest.(check (float 0.)) "min_prio" 2. (Sim.Heap.min_prio h);
   check_int "pop_min value" 20 (Sim.Heap.pop_min h);
-  check_int "next min_prio" 4 (Sim.Heap.min_prio h);
+  Alcotest.(check (float 0.)) "next min_prio" 4. (Sim.Heap.min_prio h);
   check_int "pop_min again" 40 (Sim.Heap.pop_min h);
   check_int "last" 70 (Sim.Heap.pop_min h);
   Alcotest.(check bool) "min_prio on empty raises" true
@@ -96,23 +100,24 @@ let test_min_prio_and_pop_min () =
     | exception Invalid_argument _ -> true)
 
 let test_to_sorted_list_nondestructive () =
-  let h = Sim.Heap.create ~cmp:compare () in
-  List.iter (fun p -> Sim.Heap.push h p p) [ 3; 1; 2 ];
+  let h = Sim.Heap.create () in
+  List.iter (fun p -> Sim.Heap.push h p p) [ 3.; 1.; 2. ];
   let listed = List.map fst (Sim.Heap.to_sorted_list h) in
-  Alcotest.(check (list int)) "sorted listing" [ 1; 2; 3 ] listed;
+  Alcotest.(check (list (float 0.))) "sorted listing" [ 1.; 2.; 3. ] listed;
   check_int "heap intact" 3 (Sim.Heap.length h)
 
-let test_custom_comparator () =
-  let h = Sim.Heap.create ~cmp:(fun a b -> compare b a) () in
-  List.iter (fun p -> Sim.Heap.push h p p) [ 1; 3; 2 ];
-  Alcotest.(check bool) "max-heap peek" true (Sim.Heap.peek h = Some (3, 3))
+let test_negated_priorities () =
+  (* a max-heap is the min-heap of negated priorities *)
+  let h = Sim.Heap.create () in
+  List.iter (fun p -> Sim.Heap.push h (-.float_of_int p) p) [ 1; 3; 2 ];
+  Alcotest.(check bool) "max-heap peek" true (Sim.Heap.peek h = Some (-3., 3))
 
 let qcheck_heap_sorts =
   QCheck.Test.make ~name:"heap pops in sorted stable order" ~count:300
     QCheck.(list (pair small_int small_int))
     (fun items ->
-      let h = Sim.Heap.create ~cmp:compare () in
-      List.iter (fun (p, v) -> Sim.Heap.push h p v) items;
+      let h = Sim.Heap.create () in
+      List.iter (fun (p, v) -> Sim.Heap.push h (float_of_int p) v) items;
       let rec drain acc =
         match Sim.Heap.pop h with
         | None -> List.rev acc
@@ -120,7 +125,10 @@ let qcheck_heap_sorts =
       in
       let popped = drain [] in
       (* stable sort of the input by priority must equal the pop order *)
-      let expected = List.stable_sort (fun (a, _) (b, _) -> compare a b) items in
+      let expected =
+        List.stable_sort (fun (a, _) (b, _) -> compare a b) items
+        |> List.map (fun (p, v) -> (float_of_int p, v))
+      in
       popped = expected)
 
 let suite =
@@ -136,6 +144,6 @@ let suite =
     Alcotest.test_case "capacity hint" `Quick test_capacity_hint;
     Alcotest.test_case "min_prio and pop_min" `Quick test_min_prio_and_pop_min;
     Alcotest.test_case "to_sorted_list" `Quick test_to_sorted_list_nondestructive;
-    Alcotest.test_case "custom comparator" `Quick test_custom_comparator;
+    Alcotest.test_case "negated priorities" `Quick test_negated_priorities;
     QCheck_alcotest.to_alcotest qcheck_heap_sorts;
   ]

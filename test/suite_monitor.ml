@@ -133,6 +133,47 @@ let test_theorem2_time_bound_is_checked () =
   let scaled = M.theorem2_broadcast ~p:2.0 ~n ~syscalls:n ~time:(limit *. 2.0) () in
   check_bool "bound scales with P" true scaled.M.ok
 
+(* The recovering variant holds, in Fail mode, for a fault-free
+   recovering branching-paths broadcast on every family — the star's
+   centre, absorbing 19 echoes in a row, included. *)
+let test_theorem2_recovering_all_families () =
+  List.iter
+    (fun (name, g) ->
+      let n = G.n g in
+      let config =
+        {
+          (BC.default_config ()) with
+          recover = Some (Hardware.Recover.default ~n);
+        }
+      in
+      let r = BP.run ~config ~graph:g ~root:0 () in
+      let tree = BP.tree_for ~view:g ~root:0 in
+      let report =
+        M.theorem2_recovering ~n ~echo_depth:(M.echo_depth tree)
+          ~syscalls:r.BC.syscalls ~hops:r.BC.hops ~time:r.BC.time ()
+      in
+      if not report.M.ok then
+        Alcotest.failf "%s: %s" name report.M.detail)
+    (graphs ())
+
+(* Negative: the counts the per-node acks to the root used to give on
+   the depth-10 complete binary tree (n=2047: every node's ack walked
+   its whole root path, and the root absorbed them one P apart) break
+   both the hop count and the time bound. *)
+let test_theorem2_recovering_rejects_per_node_acks () =
+  let g = B.complete_binary_tree ~depth:10 in
+  let n = G.n g in
+  let echo_depth = M.echo_depth (Netgraph.Spanning.bfs_tree g ~root:0) in
+  check_int "echo depth of a binary tree is twice its height" 20 echo_depth;
+  let ok ~hops ~time =
+    (M.theorem2_recovering ~n ~echo_depth ~syscalls:4093 ~hops ~time ()).M.ok
+  in
+  check_bool "per-node ack counts rejected" false
+    (ok ~hops:20480 ~time:2048.0);
+  check_bool "their hop count alone rejected" false (ok ~hops:20480 ~time:31.0);
+  check_bool "their time alone rejected" false (ok ~hops:4092 ~time:2048.0);
+  check_bool "tree echo counts accepted" true (ok ~hops:4092 ~time:31.0)
+
 let test_mode_of_string_roundtrip () =
   List.iter
     (fun m ->
@@ -158,6 +199,10 @@ let suite =
       test_fifo_violation_detected;
     Alcotest.test_case "theorem 2 time bound checked" `Quick
       test_theorem2_time_bound_is_checked;
+    Alcotest.test_case "theorem 2 recovering, all families" `Quick
+      test_theorem2_recovering_all_families;
+    Alcotest.test_case "theorem 2 recovering rejects per-node acks" `Quick
+      test_theorem2_recovering_rejects_per_node_acks;
     Alcotest.test_case "mode strings roundtrip" `Quick
       test_mode_of_string_roundtrip;
   ]

@@ -240,6 +240,132 @@ let test_recovery_on_is_invisible_without_faults () =
   check_int "same syscall count" sys0 sys1;
   check_bool "byte-identical event stream" true (ev0 = ev1)
 
+(* -- tree echo ---------------------------------------------------------- *)
+
+module BC = Core.Broadcast
+
+let recovering ?registry ?chaos ?cost n =
+  {
+    (BC.default_config ()) with
+    cost = Option.value cost ~default:(Hardware.Cost_model.new_model ());
+    registry;
+    chaos;
+    recover = Some (Hardware.Recover.default ~n);
+  }
+
+(* random graphs of n nodes and complete binary trees of n-1 nodes, for
+   n in {64, 1024, 4096} *)
+let echo_graphs () =
+  List.concat_map
+    (fun (n, depth) ->
+      let rng = Sim.Rng.create ~seed:n in
+      [
+        (Printf.sprintf "random%d" n, B.random_connected rng ~n ~extra_edges:(n / 2));
+        (Printf.sprintf "binary%d" (n - 1), B.complete_binary_tree ~depth);
+      ])
+    [ (64, 5); (1024, 9); (4096, 11) ]
+
+(* fault-free, the echo costs exactly one one-hop echo per non-root
+   node: bpaths makes 2n-1 syscalls and 2(n-1) hops, flood its
+   recovery-off counts plus n-1 of each, and no header grows *)
+let test_fault_free_echo_counts () =
+  List.iter
+    (fun (name, g) ->
+      let n = Netgraph.Graph.n g in
+      let check_run algo ~off ~on =
+        let what s = Printf.sprintf "%s %s: %s" algo name s in
+        check_bool (what "all reached") true (BC.all_reached on);
+        check_int (what "max_header as recovery off") off.BC.max_header
+          on.BC.max_header;
+        check_int (what "sends grow by n-1") (off.BC.sends + n - 1) on.BC.sends
+      in
+      let registry = Hardware.Registry.create () in
+      let off = Core.Branching_paths.run ~graph:g ~root:0 () in
+      let on =
+        Core.Branching_paths.run ~config:(recovering ~registry n) ~graph:g
+          ~root:0 ()
+      in
+      check_run "bpaths" ~off ~on;
+      check_int ("bpaths syscalls 2n-1 on " ^ name) ((2 * n) - 1) on.BC.syscalls;
+      check_int ("bpaths hops 2(n-1) on " ^ name) (2 * (n - 1)) on.BC.hops;
+      (match Hardware.Registry.find_counter registry "recover.acks" with
+      | Some c -> check_int "n-1 echoes received" (n - 1) (Hardware.Registry.counter_value c)
+      | None -> Alcotest.fail "recover.acks not published");
+      check_bool "no retransmit" true
+        (Hardware.Recover.counters (Some registry) = (0, 0));
+      let off = Core.Flooding.run ~graph:g ~root:0 () in
+      let on = Core.Flooding.run ~config:(recovering n) ~graph:g ~root:0 () in
+      check_run "flood" ~off ~on;
+      check_int ("flood syscalls +n-1 on " ^ name) (off.BC.syscalls + n - 1)
+        on.BC.syscalls;
+      check_int ("flood hops +n-1 on " ^ name) (off.BC.hops + n - 1) on.BC.hops)
+    (echo_graphs ())
+
+(* One lost echo: with C=1 every packet spends a time unit on its link,
+   so a glitch on the tree link (0, 1) half-way through node 1's echo
+   destroys it.  The root's watchdog then retransmits exactly once,
+   every node re-echoes the new attempt, and the broadcast completes
+   with no give-up. *)
+let test_lost_echo_one_retransmit () =
+  let g = B.complete_binary_tree ~depth:4 in
+  let n = Netgraph.Graph.n g in
+  let cost = Hardware.Cost_model.deterministic ~c:1.0 ~p:1.0 in
+  let trace = Sim.Trace.create () in
+  ignore
+    (Core.Branching_paths.run
+       ~config:{ (recovering ~cost n) with trace = Some trace }
+       ~graph:g ~root:0 ()
+      : BC.result);
+  (* node 1's echo is the only packet ever to cross 1 -> 0 *)
+  let echo_done =
+    List.filter_map
+      (function
+        | Sim.Trace.Hop { src = 1; dst = 0; time; _ } -> Some time | _ -> None)
+      (Sim.Trace.events trace)
+  in
+  let arrival =
+    match echo_done with
+    | [ t ] -> t
+    | l -> Alcotest.failf "expected one 1->0 hop, saw %d" (List.length l)
+  in
+  let registry = Hardware.Registry.create () in
+  let chaos = [ FP.Drop_in_flight { at = arrival -. 0.5; u = 0; v = 1 } ] in
+  let r =
+    Core.Branching_paths.run
+      ~config:(recovering ~registry ~chaos ~cost n)
+      ~graph:g ~root:0 ()
+  in
+  check_int "the echo was destroyed in flight" 1 r.BC.drops;
+  check_bool "all reached" true (BC.all_reached r);
+  check_bool "exactly one retransmit" true
+    (Hardware.Recover.counters (Some registry) = (1, 0));
+  match Hardware.Registry.find_counter registry "recover.give_ups" with
+  | Some c -> check_int "no give-up" 0 (Hardware.Registry.counter_value c)
+  | None -> Alcotest.fail "recover.give_ups not published"
+
+(* Each child counts once.  The tree link (0, 2) is down from the start
+   and comes back between the first and the second retransmission: on
+   the first, node 1 echoes again while node 2's subtree is still cut
+   off, and that repeated echo must not complete the root.  The second
+   retransmission then reaches everyone. *)
+let test_repeated_echo_counts_once () =
+  let g = B.complete_binary_tree ~depth:3 in
+  let n = Netgraph.Graph.n g in
+  let registry = Hardware.Registry.create () in
+  let chaos =
+    [
+      FP.Link_set { at = 0.0; u = 0; v = 2; up = false };
+      FP.Link_set { at = 200.0; u = 0; v = 2; up = true };
+    ]
+  in
+  let r =
+    Core.Branching_paths.run ~config:(recovering ~registry ~chaos n) ~graph:g
+      ~root:0 ()
+  in
+  check_bool "all reached" true (BC.all_reached r);
+  check_bool "two retransmits" true
+    (Hardware.Recover.counters (Some registry) = (2, 0))
+
 (* -- repro round-trip and replay --------------------------------------- *)
 
 let test_liveness_repro_roundtrip () =
@@ -331,6 +457,12 @@ let suite =
       test_safety_mode_reports_zero_recovery;
     Alcotest.test_case "recovery on is invisible without faults" `Quick
       test_recovery_on_is_invisible_without_faults;
+    Alcotest.test_case "fault-free echo counts" `Quick
+      test_fault_free_echo_counts;
+    Alcotest.test_case "lost echo, one retransmit" `Quick
+      test_lost_echo_one_retransmit;
+    Alcotest.test_case "repeated echo counts once" `Quick
+      test_repeated_echo_counts_once;
     Alcotest.test_case "liveness repro round-trip" `Quick
       test_liveness_repro_roundtrip;
     Alcotest.test_case "liveness heartbeat fields" `Quick
