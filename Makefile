@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke bench-json bench-check bench-parallel bench-scale bench-million bench-obs chaos chaos-smoke chaos-liveness query-smoke perfbench-smoke experiments figures examples clean
+.PHONY: all build test bench bench-smoke bench-json bench-check bench-parallel bench-scale bench-million bench-obs chaos chaos-smoke chaos-liveness chaos-liveness-sweep query-smoke perfbench-smoke experiments figures examples clean
 
 all: build
 
@@ -97,6 +97,17 @@ chaos-liveness:
 	for s in $(CHAOS_SEEDS); do \
 	  dune exec bin/futurenet_cli.exe -- chaos --liveness -s all -n 64 -k 32 --seed $$s --jobs 2 \
 	    --heartbeat chaos-liveness-heartbeat-seed$$s.jsonl --heartbeat-every 8 || exit $$?; \
+	done
+
+# Liveness seed sweep: the liveness soak above for seeds 1-100, without
+# heartbeat files, stopping at the first non-zero exit (and exiting
+# with it).  Which packets a heal resends depends on which echoes got
+# through (DESIGN.md §16), so the whole seed range is held, not a
+# sample.
+chaos-liveness-sweep:
+	for s in $$(seq 1 100); do \
+	  dune exec bin/futurenet_cli.exe -- chaos --liveness -s all -n 64 -k 32 --seed $$s \
+	    || { rc=$$?; echo "chaos-liveness-sweep: seed $$s exited $$rc"; exit $$rc; }; \
 	done
 
 # Full soak: more schedules, larger networks, all families.

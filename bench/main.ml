@@ -156,10 +156,13 @@ let maintenance_params ~n =
    link cut and must heal it through the DESIGN.md §16 echo/retransmit
    layer: the link (root, first neighbour) goes down at t=0.5 — after
    the root's sends but before every delivery completes — and comes
-   back at t=3.0, well inside the first backoff delay, so exactly the
-   retransmit wave(s) the watchdog schedules complete the broadcast.
-   The [recover.*] counters this publishes are deterministic functions
-   of (n, seed 42) and are held exactly by `bench --check`. *)
+   back at t=3.0, well inside the first backoff delay, so one
+   retransmission completes the broadcast.  It goes only down the chain
+   whose first hop never echoed, so the run costs exactly 2n+4 syscalls
+   and 2(n-1) hops: the fault-free 2n-1, one watchdog expiry and four
+   link-change activations, with no node delivered twice.  The
+   [recover.*] counters this publishes are deterministic functions of
+   (n, seed 42) and are held exactly by `bench --check`. *)
 let recover_name ~n = Printf.sprintf "recover/bpaths-heal-n%d" n
 
 let recover_plan g =

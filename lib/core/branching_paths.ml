@@ -27,22 +27,36 @@ let publish_paths ctx k =
 
 (* The sends leaving one head: over pre-compiled routes when a route
    table is supplied, else walks compiled per send — the table holds
-   exactly the routes [send_walk] would compile, so both arms produce
-   the same packets. *)
-let sends_for ctx ~routes labelling m =
+   exactly the routes [send_walk] would compile, in [paths_from] order,
+   so both arms produce the same packets.  [resend] is the recovery
+   state on a retransmission: only the chains whose first hop — a tree
+   child of the head — has not echoed go out again, since an echoed
+   child's whole subtree holds the payload. *)
+let sends_for ctx ~routes ~resend labelling m =
   let self = Network.self ctx in
-  match routes with
-  | Some table ->
-      Array.to_list
-        (Array.map
-           (fun route () -> Network.send ~label:"bpaths" ctx ~route m)
-           table.(self))
-  | None ->
-      List.map
-        (fun path () ->
-          Network.send_walk ~label:"bpaths" ~copy_at:(fun _ -> true) ctx
-            ~walk:(Array.of_list path) m)
-        (Labels.paths_from labelling self)
+  let sends =
+    match routes with
+    | Some table ->
+        Array.to_list
+          (Array.map
+             (fun route () -> Network.send ~label:"bpaths" ctx ~route m)
+             table.(self))
+    | None ->
+        List.map
+          (fun path () ->
+            Network.send_walk ~label:"bpaths" ~copy_at:(fun _ -> true) ctx
+              ~walk:(Array.of_list path) m)
+          (Labels.paths_from labelling self)
+  in
+  match resend with
+  | None -> sends
+  | Some st ->
+      List.filter_map
+        (fun (path, send) ->
+          match path with
+          | _ :: child :: _ when Broadcast.Recovery.echoed st child -> None
+          | _ -> Some send)
+        (List.combine (Labels.paths_from labelling self) sends)
 
 let send_paths ~multicast ctx sends =
   publish_paths ctx (List.length sends);
@@ -65,6 +79,12 @@ let send_paths ~multicast ctx sends =
       in
       drain rest
 
+(* One attempt from the root; a toplevel function, so attempt 0 with
+   recovery off allocates no closure for it. *)
+let root_send ~multicast ~routes ~resend ctx labelling attempt =
+  let m = Data { origin = Network.self ctx; labelling; attempt } in
+  send_paths ~multicast ctx (sends_for ctx ~routes ~resend labelling m)
+
 let spec ?precomputed ?routes ?recovery ~multicast ~reached ~view v =
   let relayed_attempt = ref (-1) in
   {
@@ -76,16 +96,14 @@ let spec ?precomputed ?routes ?recovery ~multicast ~reached ~view v =
           | Some l -> l
           | None -> Labels.compute (tree_for ~view ~root)
         in
-        let send attempt =
-          let m = Data { origin = root; labelling; attempt } in
-          send_paths ~multicast ctx (sends_for ctx ~routes labelling m)
-        in
-        send 0;
+        root_send ~multicast ~routes ~resend:None ctx labelling 0;
         match recovery with
         | None -> ()
         | Some st ->
             Broadcast.Recovery.start st ctx ~tree:(Labels.tree labelling)
-              ~resend:(fun ~attempt -> send attempt));
+              ~resend:(fun ~attempt ->
+                root_send ~multicast ~routes ~resend:recovery ctx labelling
+                  attempt));
     on_message =
       (fun ctx ~via:_ m ->
         match m with
@@ -97,7 +115,9 @@ let spec ?precomputed ?routes ?recovery ~multicast ~reached ~view v =
                  would recompute the identical decomposition from the
                  same tree description, so the paper's "tree description
                  in the message" is carried as the decomposition itself *)
-              send_paths ~multicast ctx (sends_for ctx ~routes d.labelling m);
+              let resend = if d.attempt = 0 then None else recovery in
+              send_paths ~multicast ctx
+                (sends_for ctx ~routes ~resend d.labelling m);
               match recovery with
               | None -> ()
               | Some st ->

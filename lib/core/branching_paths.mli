@@ -94,5 +94,7 @@ val run :
     attempts are echoed up the broadcast tree (a node echoes once its
     subtree has, one echo per tree link) and the root retransmits
     under capped exponential backoff until the whole tree has echoed
-    or the retry budget is spent (DESIGN.md §16).  A fault-free
-    recovering run makes [2n - 1] system calls and [2(n - 1)] hops. *)
+    or the retry budget is spent (DESIGN.md §16).  A retransmission
+    goes out, at the root and at every relay, only on the chains whose
+    first hop has not echoed.  A fault-free recovering run makes
+    [2n - 1] system calls and [2(n - 1)] hops. *)

@@ -44,10 +44,12 @@ let default_config () =
    broadcast tree, §5's optimal way to gather one bit from every node:
    a node echoes once to its tree parent when it holds the payload and
    every child has echoed, so a fault-free run costs n-1 one-hop
-   echoes.  The root's watchdog retransmits the whole broadcast —
-   attempt-tagged, so relays forward once per attempt and acceptance
-   stays at-most-once — under capped exponential backoff until all of
-   the root's children echoed or the retry budget is spent.  Everything
+   echoes.  The root's watchdog retransmits — attempt-tagged, so
+   relays forward once per attempt and acceptance stays at-most-once —
+   under capped exponential backoff until all of the root's children
+   echoed or the retry budget is spent.  A counted child's whole
+   subtree holds the payload, so the algorithms resend only towards
+   children that have not echoed ([echoed]).  Everything
    is ordinary engine events and the backoff jitter comes from the
    root's own split stream, so traces stay byte-identical at any
    [--jobs]. *)
@@ -90,6 +92,7 @@ module Recovery = struct
           }
 
   let complete st = st.waiting.(st.root) = 0
+  let echoed st v = st.counted.(v)
 
   (* children of [v] whose echo has not arrived, counted on first use *)
   let waiting st v =

@@ -65,7 +65,9 @@ val default_config : unit -> config
     receive.  Acknowledgement is a tree echo: a tree node sends one
     [ack] to its parent over the tree link once it holds the payload
     and every child has echoed, and sends it again on every new
-    attempt; the root is complete when all its children have echoed. *)
+    attempt it receives; the root is complete when all its children
+    have echoed.  A retransmission need only reach the subtrees of
+    children that have not {!echoed}. *)
 module Recovery : sig
   type t
 
@@ -75,6 +77,11 @@ module Recovery : sig
   val complete : t -> bool
   (** Every child of the root has echoed: the whole tree holds the
       payload. *)
+
+  val echoed : t -> int -> bool
+  (** [echoed st v]: [v]'s echo reached its tree parent, so [v] and its
+      whole subtree hold the payload.  A retransmission skips the
+      subtrees of echoed children. *)
 
   val start :
     t ->

@@ -9,10 +9,13 @@ let forward ctx ~except m =
   let self = Network.self ctx in
   let net = Network.network ctx in
   let forwarded = ref 0 in
+  (* -1 names no peer, so the per-neighbour test is an int compare
+     that allocates nothing *)
+  let except = match except with Some p -> p | None -> -1 in
   (* allocation-free scan of the up links; same increasing-peer order
      as the old [Network.neighbors] list *)
   Network.iter_active_neighbors net self (fun peer ->
-      if Some peer <> except then begin
+      if peer <> except then begin
         incr forwarded;
         Network.send_walk ~label:"flood" ctx ~walk:[| self; peer |] m
       end);

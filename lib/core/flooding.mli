@@ -36,4 +36,6 @@ val run :
     attempts are echoed up a BFS tree of the view (one echo per tree
     link), and the root re-floods under capped exponential backoff
     until the whole tree has echoed or the retry budget is spent
-    (DESIGN.md §16). *)
+    (DESIGN.md §16).  Each re-flood is whole: relays forward every
+    attempt to every neighbour, so a resend aimed at one silent
+    subtree would reach the whole graph anyway. *)

@@ -301,11 +301,46 @@ let test_fault_free_echo_counts () =
       check_int ("flood hops +n-1 on " ^ name) (off.BC.hops + n - 1) on.BC.hops)
     (echo_graphs ())
 
+(* The bench's heal plan: the link (root, first neighbour) goes down at
+   t=0.5, after the root's sends but before they cross it, and comes
+   back at t=3.0.  The retransmission goes only down the unechoed
+   chain, so every node is delivered once: the fault-free 2n-1 syscalls
+   plus one watchdog expiry and four link-change activations, and the
+   fault-free 2(n-1) hops. *)
+let test_heal_delivers_each_node_once () =
+  List.iter
+    (fun n ->
+      let g =
+        Compile.Topology.graph
+          (Compile.Cache.random_connected ~seed:42 ~n ~extra_edges:(n / 2))
+      in
+      let v = List.hd (Netgraph.Graph.neighbors g 0) in
+      let chaos =
+        [
+          FP.Link_set { at = 0.5; u = 0; v; up = false };
+          FP.Link_set { at = 3.0; u = 0; v; up = true };
+        ]
+      in
+      let registry = Hardware.Registry.create () in
+      let r =
+        Core.Branching_paths.run ~config:(recovering ~registry ~chaos n)
+          ~graph:g ~root:0 ()
+      in
+      let what s = Printf.sprintf "n=%d: %s" n s in
+      check_bool (what "all reached") true (BC.all_reached r);
+      check_int (what "syscalls 2n+4") ((2 * n) + 4) r.BC.syscalls;
+      check_int (what "hops 2(n-1)") (2 * (n - 1)) r.BC.hops;
+      check_bool (what "one retransmit") true
+        (Hardware.Recover.counters (Some registry) = (1, 0)))
+    [ 64; 1024; 4096 ]
+
 (* One lost echo: with C=1 every packet spends a time unit on its link,
    so a glitch on the tree link (0, 1) half-way through node 1's echo
    destroys it.  The root's watchdog then retransmits exactly once,
-   every node re-echoes the new attempt, and the broadcast completes
-   with no give-up. *)
+   down the chain 0-1 only: node 1's children have echoed, so node 1
+   just echoes again.  The destroyed echo counted its hop but no
+   syscall, so beyond the fault-free 2n-1 syscalls and 2(n-1) hops the
+   repair costs the expiry, node 1's second delivery and two hops. *)
 let test_lost_echo_one_retransmit () =
   let g = B.complete_binary_tree ~depth:4 in
   let n = Netgraph.Graph.n g in
@@ -337,25 +372,34 @@ let test_lost_echo_one_retransmit () =
   in
   check_int "the echo was destroyed in flight" 1 r.BC.drops;
   check_bool "all reached" true (BC.all_reached r);
+  check_int "syscalls 2n+1" ((2 * n) + 1) r.BC.syscalls;
+  check_int "hops 2n" (2 * n) r.BC.hops;
   check_bool "exactly one retransmit" true
     (Hardware.Recover.counters (Some registry) = (1, 0));
   match Hardware.Registry.find_counter registry "recover.give_ups" with
   | Some c -> check_int "no give-up" 0 (Hardware.Registry.counter_value c)
   | None -> Alcotest.fail "recover.give_ups not published"
 
-(* Each child counts once.  The tree link (0, 2) is down from the start
-   and comes back between the first and the second retransmission: on
-   the first, node 1 echoes again while node 2's subtree is still cut
-   off, and that repeated echo must not complete the root.  The second
-   retransmission then reaches everyone. *)
+(* Each child counts once.  The chains are 0-1-2, 1-4, 2-3 and 2-5, and
+   the tree link (1, 4) is down from the start until t=132, between the
+   first and the second retransmission.  The first goes down chain
+   0-1-2, which passes through the already-counted node 2, so node 2
+   echoes to node 1 again while node 4 is still cut off; that repeated
+   echo must not complete node 1.  The second retransmission then
+   reaches node 4.  Hops: 7 on the original attempt (the send to node 4
+   is dropped), 3 on the first retransmission (0-1-2 and node 2's echo)
+   and 6 on the second (0-1-2, 1-4 and the echoes of nodes 2, 4 and 1);
+   a whole-broadcast resend would cross 3-2 and 5-2 again each time. *)
 let test_repeated_echo_counts_once () =
-  let g = B.complete_binary_tree ~depth:3 in
+  let g =
+    Netgraph.Graph.of_edges ~n:6 [ (0, 1); (1, 2); (1, 4); (2, 3); (2, 5) ]
+  in
   let n = Netgraph.Graph.n g in
   let registry = Hardware.Registry.create () in
   let chaos =
     [
-      FP.Link_set { at = 0.0; u = 0; v = 2; up = false };
-      FP.Link_set { at = 200.0; u = 0; v = 2; up = true };
+      FP.Link_set { at = 0.0; u = 1; v = 4; up = false };
+      FP.Link_set { at = 132.0; u = 1; v = 4; up = true };
     ]
   in
   let r =
@@ -363,6 +407,8 @@ let test_repeated_echo_counts_once () =
       ~root:0 ()
   in
   check_bool "all reached" true (BC.all_reached r);
+  check_int "syscalls" 23 r.BC.syscalls;
+  check_int "hops" 16 r.BC.hops;
   check_bool "two retransmits" true
     (Hardware.Recover.counters (Some registry) = (2, 0))
 
@@ -459,6 +505,8 @@ let suite =
       test_recovery_on_is_invisible_without_faults;
     Alcotest.test_case "fault-free echo counts" `Quick
       test_fault_free_echo_counts;
+    Alcotest.test_case "heal delivers each node once" `Quick
+      test_heal_delivers_each_node_once;
     Alcotest.test_case "lost echo, one retransmit" `Quick
       test_lost_echo_one_retransmit;
     Alcotest.test_case "repeated echo counts once" `Quick
